@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -47,8 +48,9 @@ struct GridCase {
 
 // Seeded grid spanning buffers, positions, levels, scenario spreads,
 // weights, and both rebuffer-action sets (the equivalence-test recipe).
+// Each case fans out 3 or 8 scenarios at random unless `num_scen` fixes it.
 std::vector<GridCase> seeded_grid(const media::EncodedVideo& video, uint64_t seed,
-                                  size_t cases_per_combo) {
+                                  size_t cases_per_combo, size_t num_scen = 0) {
   util::Rng rng(seed);
   std::vector<GridCase> grid;
   for (size_t horizon : {1, 3, 5}) {
@@ -67,8 +69,9 @@ std::vector<GridCase> seeded_grid(const media::EncodedVideo& video, uint64_t see
           c.obs.buffer_s = rng.uniform(0.0, 28.0);
           c.obs.last_level = static_cast<size_t>(
               rng.uniform_int(0, static_cast<int>(video.ladder().level_count()) - 1));
-          size_t num_scen = rng.chance(0.5) ? 3 : 8;
-          c.scenarios = net::triangular_scenarios(num_scen, rng.uniform(250.0, 6500.0),
+          const size_t fan = rng.chance(0.5) ? 3 : 8;
+          c.scenarios = net::triangular_scenarios(num_scen > 0 ? num_scen : fan,
+                                                  rng.uniform(250.0, 6500.0),
                                                   rng.uniform(0.05, 0.8));
           if (use_weights) {
             for (size_t d = 0; d < horizon; ++d)
@@ -216,6 +219,67 @@ TEST_F(PlannerAccuracy, BatchedDecideBitIdenticalToUnbatched) {
   }
   EXPECT_GT(batch.num_vi_tables(), 0u);
 }
+
+// Wide forecasts (S >= 8 scenarios) pinned to literal bits. The Fugu
+// default is 3 scenarios, so every other identity gate in the repo runs the
+// narrow path; this one fixes ViPlanner's output on wide rows, batched and
+// unbatched, to digests of best_level, best_rebuffer_s, best_value and the
+// nostall_* pair over a seeded grid.
+class ViWideRowPins : public PlannerAccuracy, public ::testing::WithParamInterface<size_t> {};
+
+// FNV-1a over the raw bits of every PlanResult field the planners report.
+uint64_t fold_result(uint64_t h, const PlanResult& r) {
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto bits = [](double d) {
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  mix(r.best_level);
+  mix(bits(r.best_rebuffer_s));
+  mix(bits(r.best_value));
+  mix(r.nostall_level);
+  mix(bits(r.nostall_value));
+  return h;
+}
+
+uint64_t pinned_wide_digest(size_t num_scen) {
+  switch (num_scen) {
+    case 8:
+      return 0x13ea5671d8c481a9ull;
+    case 12:
+      return 0x6cd985504b410155ull;
+    default:
+      return 0xa10a0e9877e6bed5ull;
+  }
+}
+
+TEST_P(ViWideRowPins, DecisionsMatchPinnedBits) {
+  const size_t num_scen = GetParam();
+  const auto grid = seeded_grid(video_, 0x51de0000 + num_scen, 4, num_scen);
+  PlanBatch batch;
+  ViPlanner plain, batched;
+  batched.set_batch(&batch);
+  // Two passes: the second replays the grid against warm shared tables.
+  for (int pass = 0; pass < 2; ++pass) {
+    uint64_t h_plain = 0xcbf29ce484222325ull, h_batched = h_plain;
+    for (const auto& c : grid) {
+      PlanQuery q = make_query(c);
+      h_plain = fold_result(h_plain, plain.plan(q));
+      h_batched = fold_result(h_batched, batched.plan(q));
+    }
+    SCOPED_TRACE("S=" + std::to_string(num_scen) + " pass " + std::to_string(pass));
+    EXPECT_EQ(h_plain, pinned_wide_digest(num_scen)) << std::hex << h_plain;
+    EXPECT_EQ(h_batched, pinned_wide_digest(num_scen)) << std::hex << h_batched;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WideScenarioRows, ViWideRowPins, ::testing::Values(size_t{8}, size_t{12}, size_t{16}));
 
 // The same invariant at the event-loop level: a multi-session Simulator run
 // with share_plan_tables on (the default) must be byte-identical to one
