@@ -85,32 +85,30 @@ struct Row {
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--shards", "--cells", "--baseline", "--policy",
-                      "--backend"},
+                     {"--out", "--threads", "--shards", "--cells", "--baseline", "--policy"},
                      {"--smoke"},
                      "bench_fleet [--smoke] [--out FILE] [--threads N] [--shards N] "
-                     "[--cells N] [--baseline FILE] [--policy SPEC]... "
-                     "[--backend scalar|simd|auto]");
+                     "[--cells N] [--baseline FILE] [--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_fleet.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
   if (!baseline_path.empty()) {
     // Schema v3: v2's spec-keyed sessions_by_policy plus the typed outcome
     // split (completed/abandoned per policy) and the resilience counters.
-    // v4 added the kernel backend dimension (util/kernels).
+    // v5 dropped v4's config.backend; a v4 baseline still carries every
+    // field checked here.
     bench::check_baseline_fields(baseline_path, 4,
                                  {"\"sessions_per_s\"", "\"peak_rss_mib\"", "\"qoe_p99\"",
                                   "\"total_sessions\"", "\"peak_concurrent\"",
                                   "\"sessions_by_policy\"", "\"completed_by_policy\"",
                                   "\"abandoned_by_policy\"", "\"timeouts\"",
-                                  "\"failovers\"", "whittle", "\"backend\""});
+                                  "\"failovers\"", "whittle"});
   }
   // `--policy SPEC`... replaces the default workload mix (equal weights).
   std::vector<sim::PolicyMixEntry> mix_override;
   for (const std::string& spec : bench::policy_specs_arg(argc, argv)) {
     mix_override.push_back({spec, 1.0});
   }
-  const char* backend = bench::backend_arg(argc, argv);
   const size_t num_shards = count_arg(argc, argv, "--shards", 0);
   const size_t cells_override = count_arg(argc, argv, "--cells", 0);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
@@ -221,10 +219,10 @@ int main(int argc, char** argv) {
   double max_rss = 0.0;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"fleet\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"config\": {\"threads\": %zu, \"shards\": %zu, \"backend\": \"%s\"},\n",
-               runner.num_threads(), num_shards, backend);
+  std::fprintf(f, "  \"config\": {\"threads\": %zu, \"shards\": %zu},\n",
+               runner.num_threads(), num_shards);
   std::fprintf(f, "  \"scenarios\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

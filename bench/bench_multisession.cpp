@@ -116,26 +116,25 @@ size_t peak_concurrency(const std::vector<sim::MultiSessionResult>& results) {
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--trace-integration", "--baseline", "--policy",
-                      "--backend"},
+                     {"--out", "--threads", "--trace-integration", "--baseline", "--policy"},
                      {"--smoke"},
                      "bench_multisession [--smoke] [--out FILE] [--threads N] "
                      "[--trace-integration indexed|walker] [--baseline FILE] "
-                     "[--policy SPEC]... [--backend scalar|simd|auto]");
+                     "[--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_multisession.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
   if (!baseline_path.empty()) {
     // A baseline predating the planner modes (schema v2) or the registry
     // specs + whittle rows (v3) must fail here, not silently diff clean.
-    // v4 added the kernel backend dimension (util/kernels).
+    // v5 dropped v4's config.backend; a v4 baseline still carries every
+    // field checked here.
     bench::check_baseline_fields(baseline_path, 4,
                                  {"\"planner\"", "\"fugu_compare\"", "\"whittle_compare\"",
                                   "\"qoe_delta_vs_exact\"", "\"fugu_vi_sessions_per_s\"",
-                                  "\"spec\"", "\"whittle\"", "\"backend\""});
+                                  "\"spec\"", "\"whittle\""});
   }
   const net::TraceIntegration integration = bench::trace_integration_arg(argc, argv);
-  const char* backend = bench::backend_arg(argc, argv);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
   // ---- 1. identity: Simulator (dedicated, single session) vs Player ------
@@ -327,13 +326,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"multisession\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f,
-               "  \"config\": {\"threads\": %zu, \"trace_integration\": \"%s\", "
-               "\"backend\": \"%s\"},\n",
+               "  \"config\": {\"threads\": %zu, \"trace_integration\": \"%s\"},\n",
                runner.num_threads(),
-               integration == net::TraceIntegration::kWalker ? "walker" : "indexed", backend);
+               integration == net::TraceIntegration::kWalker ? "walker" : "indexed");
   std::fprintf(f, "  \"identity\": {\"cells\": %zu, \"diffs\": %zu},\n", identity_cells,
                identity_diffs);
   std::fprintf(f, "  \"grid\": [\n");

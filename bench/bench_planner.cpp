@@ -97,20 +97,18 @@ double time_plans_ns(abr::Planner& planner, const std::vector<abr::PlanQuery>& q
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::check_flags(argc, argv, {"--out", "--quantum", "--baseline", "--backend"},
-                     {"--smoke"},
-                     "bench_planner [--smoke] [--out FILE] [--quantum S] [--baseline FILE] "
-                     "[--backend scalar|simd|auto]");
+  bench::check_flags(argc, argv, {"--out", "--quantum", "--baseline"}, {"--smoke"},
+                     "bench_planner [--smoke] [--out FILE] [--quantum S] [--baseline FILE]");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_planner.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
   if (!baseline_path.empty()) {
-    // A pre-vi baseline must fail here, not silently diff clean.
+    // A pre-vi baseline must fail here, not silently diff clean. v3 dropped
+    // v2's config.backend, which nothing here reads.
     bench::check_baseline_fields(baseline_path, 2,
                                  {"\"vi\"", "\"vi_decision_divergence\"",
                                   "\"vi_quantum_s\""});
   }
-  const char* backend = bench::backend_arg(argc, argv);
   double quantum = abr::kDefaultDpBufferQuantumS;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--quantum") == 0) quantum = std::atof(argv[i + 1]);
@@ -196,15 +194,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"planner\",\n");
-  std::fprintf(f, "  \"schema_version\": 2,\n");
+  std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f,
                "  \"config\": {\"levels\": %zu, \"scenarios\": %zu, \"observations\": %zu, "
                "\"rebuffer_options_s\": [0, 1, 2], \"use_weights\": true, "
-               "\"buffer_quantum_s\": %g, \"vi_quantum_s\": %g, \"seed\": %llu, "
-               "\"backend\": \"%s\"},\n",
+               "\"buffer_quantum_s\": %g, \"vi_quantum_s\": %g, \"seed\": %llu},\n",
                video.ladder().level_count(), num_scenarios, num_obs, quantum,
-               vi.quantum_s(), static_cast<unsigned long long>(seed), backend);
+               vi.quantum_s(), static_cast<unsigned long long>(seed));
   std::fprintf(f, "  \"horizons\": [\n");
   double speedup_h5 = 0.0;
   double vi_speedup_h5 = 0.0;

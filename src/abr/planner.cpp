@@ -1,7 +1,10 @@
 #include "abr/planner.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "util/kernels.h"
 
@@ -743,8 +746,7 @@ size_t ViPlanner::arena_bytes() const {
   return (local_bits_.capacity() + local_vq_.capacity() + local_qn_.capacity() +
           local_dl_.capacity() + prob_.capacity() + w_.capacity() + root_qn_.capacity() +
           root_dl_.capacity() + exact_kbps_.capacity() + qkbps_.capacity() +
-          key_.capacity() + width_.capacity() + v_.capacity() + row_b_.capacity() +
-          row_stall_.capacity() + row_qv_.capacity()) *
+          key_.capacity() + width_.capacity() + v_.capacity()) *
              sizeof(double) +
          (vstamp_.capacity() + bcount_.capacity() + off_.capacity()) * sizeof(uint64_t);
 }
@@ -773,7 +775,7 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
       }
     }
     for (size_t d = 1; d < depth_count; ++d) {
-      // Row kernel over the previous-level axis: vq is fixed per (d, l) and
+      // Row helper over the previous-level axis: vq is fixed per (d, l) and
       // stall is 0, so qn[p] = max(floor, vq - bsw * |vq - prev_vq[p]|) —
       // the zero stall-penalty term drops out bit-exactly (x - 0.0 == x).
       for (size_t l = 0; l < L; ++l) {
@@ -866,55 +868,27 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
   const double w = w_[depth];
   const double wstall = std::max(w, 1.0);
   double best = -1e18;
-  if (S_ < util::kernels::kInlineRowCutoff) {
-    // Narrow forecasts (the Fugu default is 3 scenarios) keep everything in
-    // registers: this fused loop is the exact composition of the two row
-    // kernels below — same step/penalty/select expressions in the same
-    // order — so both paths produce identical bits; the kernels just add
-    // row stores the recursion would immediately reload at these widths.
-    for (size_t l = 0; l < L_; ++l) {
-      const double vqv = vq_tab_[depth * L_ + l];
-      const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
-      const double* dl_row = &dl_tab_[(depth * L_ + l) * S_];
-      double acc = 0.0;
-      for (size_t s = 0; s < S_; ++s) {
-        double b = b0;
-        const double dl = dl_row[s];
-        double stall = 0.0;
-        if (dl > b) {
-          stall = dl - b;
-          b = 0.0;
-        } else {
-          b -= dl;
-        }
-        b = std::min(b + tau_, kMaxBufferS);
-        const double qv =
-            stall > 0.0 ? qoe::chunk_quality(vqv, stall, prev_vq, q_->chunk) : qn;
-        acc += prob_[s] * (w * qn + wstall * (qv - qn) + value_of(depth + 1, b, l));
+  for (size_t l = 0; l < L_; ++l) {
+    const double vqv = vq_tab_[depth * L_ + l];
+    const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
+    const double* dl_row = &dl_tab_[(depth * L_ + l) * S_];
+    double acc = 0.0;
+    for (size_t s = 0; s < S_; ++s) {
+      double b = b0;
+      const double dl = dl_row[s];
+      double stall = 0.0;
+      if (dl > b) {
+        stall = dl - b;
+        b = 0.0;
+      } else {
+        b -= dl;
       }
-      if (acc > best) best = acc;
+      b = std::min(b + tau_, kMaxBufferS);
+      const double qv =
+          stall > 0.0 ? qoe::chunk_quality(vqv, stall, prev_vq, q_->chunk) : qn;
+      acc += prob_[s] * (w * qn + wstall * (qv - qn) + value_of(depth + 1, b, l));
     }
-  } else {
-    // SoA sweep: one buffer/stall step kernel plus one chunk-quality kernel
-    // per candidate level, over the scenario row, then a sequential fold
-    // (probability weighting and the recursion must keep the scalar order).
-    double* row_b = &row_b_[depth * S_];
-    double* row_stall = &row_stall_[depth * S_];
-    double* row_qv = &row_qv_[depth * S_];
-    for (size_t l = 0; l < L_; ++l) {
-      const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
-      util::kernels::step_buffer_stall_row(b0, &dl_tab_[(depth * L_ + l) * S_], S_, 0.0,
-                                           tau_, kMaxBufferS, row_b, row_stall);
-      util::kernels::chunk_quality_stall_row(vq_tab_[depth * L_ + l], prev_vq, qn,
-                                             row_stall, S_, br_, sat_, bsw_, floor_,
-                                             row_qv);
-      double acc = 0.0;
-      for (size_t s = 0; s < S_; ++s) {
-        acc += prob_[s] *
-               (w * qn + wstall * (row_qv[s] - qn) + value_of(depth + 1, row_b[s], l));
-      }
-      if (acc > best) best = acc;
-    }
+    if (acc > best) best = acc;
   }
   if (filled_ != nullptr) {
     filled_[idx] = 1;
@@ -936,15 +910,8 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
   L_ = video.ladder().level_count();
   S_ = q.num_scenarios;
   tau_ = video.chunk_duration_s();
-  br_ = q.chunk.beta_rebuf;
-  sat_ = q.chunk.rebuf_saturation;
   bsw_ = q.chunk.beta_switch;
   floor_ = q.chunk.floor;
-  if (row_b_.size() < D_ * S_) {
-    row_b_.resize(D_ * S_);
-    row_stall_.resize(D_ * S_);
-    row_qv_.resize(D_ * S_);
-  }
 
   // Multi-resolution grid: the root is evaluated at the continuous observed
   // buffer; depth d >= 1 lives on buckets of width quantum * 2^(d-1). The
@@ -1024,7 +991,6 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
 
   const double w0 = w_[0];
   const double wstall0 = std::max(w0, 1.0);
-  const bool fused_root = S_ < util::kernels::kInlineRowCutoff;
   // Depth-1 memo read with the hit path inlined: the root fold makes L*S of
   // these, and funneling every one through the recursive value_of call kept
   // the loads serialized behind call/return; inline, the out-of-order core
@@ -1043,10 +1009,6 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     }
     return value_of(1, b, level);
   };
-  // Root rows live in the depth-0 scratch slice (value_of starts at 1).
-  double* row_b = row_b_.data();
-  double* row_stall = row_stall_.data();
-  double* row_qv = row_qv_.data();
   for (size_t level = 0; level < L_; ++level) {
     const double qn = root_qn_[level];
     const double vqv = vq_tab_[level];
@@ -1054,44 +1016,25 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     for (size_t si = 0; si < q.num_rebuffer_options; ++si) {
       const double scheduled = q.rebuffer_options[si];
       double acc = 0.0;
-      if (fused_root) {
-        // Register-resident twin of the kernel pair below (see value_of):
-        // identical expressions and order, so identical bits.
-        for (size_t s = 0; s < S_; ++s) {
-          double b = q.obs->buffer_s;
-          const double dl = dl_row[s];
-          double stall = 0.0;
-          if (dl > b) {
-            stall = dl - b;
-            b = 0.0;
-          } else {
-            b -= dl;
-          }
-          if (scheduled > 0.0) {
-            b += scheduled;
-            stall += scheduled;
-          }
-          b = std::min(b + tau_, kMaxBufferS);
-          const double qv =
-              stall > 0.0
-                  ? qoe::chunk_quality(vqv, stall, q.prev_visual_quality, q.chunk)
-                  : qn;
-          acc += prob_[s] * (w0 * qn + wstall0 * (qv - qn) + depth1_value(b, level));
+      for (size_t s = 0; s < S_; ++s) {
+        double b = q.obs->buffer_s;
+        const double dl = dl_row[s];
+        double stall = 0.0;
+        if (dl > b) {
+          stall = dl - b;
+          b = 0.0;
+        } else {
+          b -= dl;
         }
-      } else {
-        // Folding the scheduled-rebuffer branch into the kernel's additive
-        // term is exact: a non-positive option contributes +0.0, and both the
-        // stall and the pre-tau buffer are non-negative there.
-        const double extra = scheduled > 0.0 ? scheduled : 0.0;
-        util::kernels::step_buffer_stall_row(q.obs->buffer_s, &root_dl_[level * S_], S_,
-                                             extra, tau_, kMaxBufferS, row_b, row_stall);
-        util::kernels::chunk_quality_stall_row(vq_tab_[level], q.prev_visual_quality, qn,
-                                               row_stall, S_, br_, sat_, bsw_, floor_,
-                                               row_qv);
-        for (size_t s = 0; s < S_; ++s) {
-          acc += prob_[s] * (w0 * qn + wstall0 * (row_qv[s] - qn) +
-                             depth1_value(row_b[s], level));
+        if (scheduled > 0.0) {
+          b += scheduled;
+          stall += scheduled;
         }
+        b = std::min(b + tau_, kMaxBufferS);
+        const double qv =
+            stall > 0.0 ? qoe::chunk_quality(vqv, stall, q.prev_visual_quality, q.chunk)
+                        : qn;
+        acc += prob_[s] * (w0 * qn + wstall0 * (qv - qn) + depth1_value(b, level));
       }
       // Strict improvement only: level-major, stall-option-minor iteration
       // reproduces the exact planners' first-strictly-better tie-break.
@@ -1115,7 +1058,19 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
   return result;
 }
 
+const char* buffer_quantum_error(double quantum_s) {
+  if (!(quantum_s >= 0.0)) return "must be >= 0 (0 selects the planner default)";
+  if (quantum_s > 0.0 && quantum_s < kMinBufferQuantumS) return "must be 0 or >= 0.001";
+  return nullptr;
+}
+
 std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s) {
+  if (const char* why = buffer_quantum_error(dp_buffer_quantum_s)) {
+    char value[32];
+    std::snprintf(value, sizeof(value), "%g", dp_buffer_quantum_s);
+    throw std::invalid_argument(std::string("make_planner: dp_buffer_quantum_s ") + why +
+                                ", got " + value);
+  }
   switch (kind) {
     case PlannerKind::kExhaustive:
       return std::make_unique<ExhaustivePlanner>();

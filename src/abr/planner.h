@@ -89,6 +89,16 @@ inline constexpr double kDefaultDpBufferQuantumS = 0.0;
 // the first lookahead step; the width doubles with each deeper step.
 inline constexpr double kDefaultViBufferQuantumS = 2.0;
 
+// Smallest nonzero buffer quantum make_planner accepts. Below it vi's value
+// table (30 s / quantum buckets per depth) outgrows memory and the bucket
+// index llround(30 / quantum) leaves the integer range. dp reads the same
+// config key, so it takes the same floor; its exact mode is 0.
+inline constexpr double kMinBufferQuantumS = 1e-3;
+
+// Why `quantum_s` is not an accepted dp/vi buffer quantum, or nullptr when
+// it is: 0 (the planner's default) or a value >= kMinBufferQuantumS.
+const char* buffer_quantum_error(double quantum_s);
+
 // Relative (log2-spaced) throughput discretization for ViPlanner's lookahead
 // tail: scenario kbps snaps to 2^(k / kViKbpsBinsPerOctave) bins (at 0.5
 // bins per octave each bin spans a 4x range), so nearby forecasts plan on
@@ -442,17 +452,8 @@ class ViPlanner : public Planner {
   std::vector<double> root_qn_;
   std::vector<double> root_dl_;  // depth-0 download times on *exact* kbps
 
-  // Per-depth scratch rows [depth * S + s] for the SoA step kernels
-  // (util/kernels): post-step buffer, stall seconds, and stalled chunk
-  // quality for one candidate level across all scenarios. Each depth owns
-  // its slice because the recursion at depth d + 1 fills rows d + 1 while
-  // depth d's rows are still being folded; the root uses slice 0 (value_of
-  // starts at depth 1).
-  std::vector<double> row_b_;
-  std::vector<double> row_stall_;
-  std::vector<double> row_qv_;
-  // Chunk-quality params cached as scalars for the kernel calls.
-  double br_ = 0.0, sat_ = 0.0, bsw_ = 0.0, floor_ = 0.0;
+  // Chunk-quality params cached as scalars for the no-stall row helpers.
+  double bsw_ = 0.0, floor_ = 0.0;
 
   // Value cells for this decide(): either the shared ViValueTable (filled_
   // non-null, filled-flag liveness) or the local round-stamped arena.
@@ -463,6 +464,8 @@ class ViPlanner : public Planner {
   uint64_t round_ = 0;
 };
 
+// Throws std::invalid_argument when buffer_quantum_error(dp_buffer_quantum_s)
+// names a reason.
 std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s = 0.0);
 
 }  // namespace sensei::abr

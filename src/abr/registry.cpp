@@ -117,7 +117,7 @@ std::vector<KeyInfo> fugu_keys() {
   keys.push_back({"planner", KeyType::kEnum, "dp", {"dp", "exhaustive", "vi"}});
   keys.push_back({"horizon", KeyType::kSize, "5", {}});
   keys.push_back({"predictor_window", KeyType::kSize, "8", {}});
-  keys.push_back({"dp_buffer_quantum_s", KeyType::kDouble, "0", {}});
+  keys.push_back({"dp_buffer_quantum_s", KeyType::kDouble, "0", {}, &buffer_quantum_error});
   keys.push_back({"rebuffer_margin", KeyType::kDouble, "0.35", {}});
   keys.push_back({"weight_shrinkage", KeyType::kDouble, "0.8", {}});
   return keys;
@@ -309,7 +309,9 @@ void PolicyRegistry::register_policy(const std::string& name, std::vector<KeyInf
     bool ok = false;
     switch (info.type) {
       case KeyType::kDouble:
-        ok = parse_finite_double(info.default_value, d) && format_spec_double(d) == info.default_value;
+        ok = parse_finite_double(info.default_value, d) &&
+             format_spec_double(d) == info.default_value &&
+             (info.range_check == nullptr || info.range_check(d) == nullptr);
         break;
       case KeyType::kSize:
         ok = parse_size(info.default_value, s) && std::to_string(s) == info.default_value;
@@ -358,7 +360,10 @@ PolicySpec PolicyRegistry::canonicalize(const PolicySpec& spec) const {
   // Validate and canonically reformat every provided value.
   std::vector<std::pair<std::string, std::string>> provided;
   provided.reserve(spec.kv.size());
+  // Offset of the current value in spec.to_string(), for range errors.
+  size_t value_pos = spec.name.size() + 1;
   for (const auto& [key, value] : spec.kv) {
+    value_pos += key.size() + 1;
     const KeyInfo* info = nullptr;
     for (const KeyInfo& k : entry.keys) {
       if (k.key == key) {
@@ -385,6 +390,12 @@ PolicySpec PolicyRegistry::canonicalize(const PolicySpec& spec) const {
           throw std::runtime_error("policy '" + spec.name + "' key '" + key +
                                    "': expected a finite number, got \"" + value + "\"");
         }
+        if (info->range_check != nullptr) {
+          if (const char* why = info->range_check(v)) {
+            spec_error(spec.to_string(), value_pos,
+                       "key '" + key + "' " + why + ", got \"" + value + "\"");
+          }
+        }
         canonical_value = format_spec_double(v);
         break;
       }
@@ -408,6 +419,7 @@ PolicySpec PolicyRegistry::canonicalize(const PolicySpec& spec) const {
       }
     }
     provided.emplace_back(key, std::move(canonical_value));
+    value_pos += value.size() + 1;
   }
 
   // Canonical form: every registered key, in sorted order (entry.keys is

@@ -79,6 +79,9 @@ class PolicyRegistry {
     KeyType type = KeyType::kDouble;
     std::string default_value;               // canonical text of the default
     std::vector<std::string> enum_values;    // kEnum only
+    // kDouble only, optional: why a finite value is out of range, or
+    // nullptr when it is accepted.
+    const char* (*range_check)(double) = nullptr;
   };
 
   // Receives the *canonical* spec (every key present and validated).
@@ -97,7 +100,8 @@ class PolicyRegistry {
 
   // Validates `spec` and returns the canonical form: defaults made
   // explicit, keys sorted, values reformatted. Throws on unknown name,
-  // unknown key, or malformed value.
+  // unknown key, or malformed value; an out-of-range value's message names
+  // the key and its position in spec.to_string().
   PolicySpec canonicalize(const PolicySpec& spec) const;
   // parse + canonicalize + to_string: the pooling/dedup key for a spec text.
   std::string canonical_string(const std::string& spec_text) const;

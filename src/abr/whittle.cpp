@@ -52,7 +52,7 @@ sim::AbrDecision WhittleIndexAbr::decide(const sim::AbrObservation& obs) {
   sim::AbrDecision d;
   if (!(budget_kbps > 0.0)) return d;  // degenerate forecast: lowest rung
 
-  // One index kernel over the whole ladder, lane for lane the level_index
+  // One index row over the whole ladder, element for element the level_index
   // expression, then a strict argmax (ties keep the lowest rung) — exactly
   // the scalar loop this replaces.
   const media::EncodedVideo& video = *obs.video;

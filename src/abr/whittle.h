@@ -23,7 +23,7 @@
 // nonincreasing in b, so the index is monotone nondecreasing in buffer —
 // the indexability property the tests pin.
 //
-// decide() is an argmax over rungs — one whittle_index_row kernel call over
+// decide() is an argmax over rungs — one whittle_index_row call over
 // the ladder (util/kernels) followed by a strict argmax: O(levels), zero
 // steady-state heap allocation, no lookahead recursion — near-MPC quality
 // at BBA-like cost, which is why the fleet workload mix uses it as the
@@ -65,7 +65,7 @@ class WhittleIndexAbr : public sim::AbrPolicy {
  private:
   WhittleConfig config_;
   net::HarmonicMeanPredictor predictor_;
-  // SoA scratch rows over the ladder for decide()'s index kernel (sized to
+  // SoA scratch rows over the ladder for decide()'s index row (sized to
   // the level count on first use, reused across decisions).
   std::vector<double> row_bytes_;
   std::vector<double> row_vq_;

@@ -298,7 +298,7 @@ FleetAggregates FleetSimulator::run_cell(
     if (!recs.empty()) {
       // SoA fold: gather the record fields into contiguous rows (prev is
       // the quality row shifted by one, first chunk self-seeded), one
-      // chunk_quality_row kernel over the session, then sequential sums —
+      // chunk_quality_row call over the session, then sequential sums —
       // the same left-to-right accumulation as the scalar loop it replaces.
       const size_t n = recs.size();
       if (rec_vq.size() < n) {

@@ -1,406 +1,88 @@
-// Kernel-layer gates (util/kernels.h):
-//  - scalar-vs-SIMD bitwise identity for every dispatched row kernel, on
-//    randomized inputs salted with the FP edge cases (NaN, +/-0, denormals,
-//    infinities) and lengths that exercise every lane-count tail;
-//  - kernels cross-checked bit-for-bit against the scalar helpers they
-//    batch (qoe::chunk_quality, stall_penalty, abr::quantize_kbps,
-//    abr::buffer_bucket, WhittleIndexAbr::level_index, the planners' buffer
-//    dynamics, net::triangular_scenarios);
-//  - end-to-end: a shared-bottleneck multi-session run and a multi-cell
-//    fleet run produce byte-identical results under the scalar and SIMD
-//    backends — the backend choice is invisible to every consumer.
-// When no SIMD backend is compiled/supported the identity tests skip; the
-// cross-checks still run against the scalar reference.
+// Row-helper gates (util/kernels.h): each helper cross-checked bit-for-bit
+// against the scalar code it batches (qoe::chunk_quality, abr::quantize_kbps,
+// WhittleIndexAbr::level_index, net::triangular_scenarios), the planners'
+// buffer bucket map, the order-pinned reductions, and the ScenarioPredictor
+// memo.
 #include "util/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <random>
-#include <string>
 #include <vector>
 
-#include "abr/fugu.h"
 #include "abr/planner.h"
 #include "abr/whittle.h"
-#include "core/runner.h"
 #include "media/dataset.h"
 #include "media/encoder.h"
 #include "net/predictor.h"
-#include "net/trace_gen.h"
 #include "qoe/chunk_quality.h"
-#include "sim/fleet.h"
-#include "sim/simulator.h"
 
 namespace sensei::util {
 namespace {
 
-constexpr size_t kMaxLen = 19;  // covers 1..19: every SSE2/AVX2 tail shape
-constexpr int kTrials = 16;
+constexpr size_t kLen = 19;
 
-bool bits_equal(const double* a, const double* b, size_t n) {
-  return std::memcmp(a, b, n * sizeof(double)) == 0;
-}
-
-// Random doubles over several magnitudes, salted with the edge values the
-// bit-identity contract explicitly covers.
-class ValueGen {
+// Uniform draws in [lo, hi) from a fixed seed.
+class Draw {
  public:
-  explicit ValueGen(uint64_t seed) : rng_(seed) {}
-
-  double next() {
-    switch (rng_() % 10) {
-      case 0: {
-        static const double edges[] = {
-            0.0,
-            -0.0,
-            std::numeric_limits<double>::quiet_NaN(),
-            -std::numeric_limits<double>::quiet_NaN(),
-            std::numeric_limits<double>::denorm_min(),
-            -std::numeric_limits<double>::denorm_min(),
-            std::numeric_limits<double>::infinity(),
-            -std::numeric_limits<double>::infinity(),
-            std::numeric_limits<double>::min(),
-            -std::numeric_limits<double>::min(),
-        };
-        return edges[rng_() % (sizeof(edges) / sizeof(edges[0]))];
-      }
-      case 1:
-        return uniform(-1e-6, 1e-6);
-      case 2:
-        return uniform(-1e9, 1e9);
-      default:
-        return uniform(-60.0, 60.0);
-    }
-  }
-
-  // Strictly finite positive draw (for parameters a NaN would make vacuous).
-  double positive(double lo, double hi) { return uniform(lo, hi); }
-
-  // Like next() but never NaN: scalar *parameters* stay NaN-free because two
-  // NaNs meeting in a commutable op (x * scale, q + add) select a payload by
-  // operand order, which IEEE leaves open and compilers freely commute. Row
-  // data still carries NaNs — one-NaN propagation is order-independent.
-  double param() {
-    switch (rng_() % 10) {
-      case 0: {
-        static const double edges[] = {
-            0.0,
-            -0.0,
-            std::numeric_limits<double>::denorm_min(),
-            -std::numeric_limits<double>::denorm_min(),
-            std::numeric_limits<double>::infinity(),
-            -std::numeric_limits<double>::infinity(),
-            std::numeric_limits<double>::min(),
-            -std::numeric_limits<double>::min(),
-        };
-        return edges[rng_() % (sizeof(edges) / sizeof(edges[0]))];
-      }
-      case 1:
-        return uniform(-1e-6, 1e-6);
-      case 2:
-        return uniform(-1e9, 1e9);
-      default:
-        return uniform(-60.0, 60.0);
-    }
-  }
-
-  void fill(std::vector<double>& v, size_t n) {
-    v.resize(n);
-    for (size_t i = 0; i < n; ++i) v[i] = next();
+  explicit Draw(uint64_t seed) : rng_(seed) {}
+  double operator()(double lo, double hi) {
+    return lo + (hi - lo) * std::uniform_real_distribution<double>(0.0, 1.0)(rng_);
   }
 
  private:
-  double uniform(double lo, double hi) {
-    return lo + (hi - lo) * std::uniform_real_distribution<double>(0.0, 1.0)(rng_);
-  }
   std::mt19937_64 rng_;
 };
 
-// Runs `fn` once per backend and asserts the outputs are bitwise equal.
-// Restores the auto backend on scope exit so test order cannot leak state.
-class KernelIdentity : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!kernel_simd_supported()) GTEST_SKIP() << "no SIMD backend on this host";
-  }
-  void TearDown() override { set_kernel_backend(KernelBackend::kAuto); }
-};
-
-TEST(KernelBackend, DispatchNamesAndSetters) {
-  EXPECT_TRUE(set_kernel_backend("scalar"));
-  EXPECT_STREQ(kernel_backend_name(), "scalar");
-  EXPECT_EQ(requested_kernel_backend(), KernelBackend::kScalar);
-  EXPECT_FALSE(set_kernel_backend("bogus"));
-  EXPECT_FALSE(set_kernel_backend(nullptr));
-  EXPECT_EQ(requested_kernel_backend(), KernelBackend::kScalar);  // unchanged
-  EXPECT_TRUE(set_kernel_backend("simd"));
-  if (kernel_simd_supported()) {
-    const std::string name = kernel_backend_name();
-    EXPECT_TRUE(name == "avx2" || name == "sse2") << name;
-  } else {
-    EXPECT_STREQ(kernel_backend_name(), "scalar");
-  }
-  EXPECT_TRUE(set_kernel_backend("auto"));
-  EXPECT_EQ(requested_kernel_backend(), KernelBackend::kAuto);
-}
-
-TEST_F(KernelIdentity, DivAddRow) {
-  ValueGen gen(11);
-  std::vector<double> den, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(den, n);
-      const double num = gen.param(), floor = gen.param(), add = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::div_add_row(num, den.data(), n, floor, add, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::div_add_row(num, den.data(), n, floor, add, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, MulDivAndDivScalarRows) {
-  ValueGen gen(12);
-  std::vector<double> x, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(x, n);
-      const double scale = gen.param(), den = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::mul_div_row(x.data(), n, scale, den, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::mul_div_row(x.data(), n, scale, den, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "mul_div n=" << n;
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::div_scalar_row(x.data(), n, den, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::div_scalar_row(x.data(), n, den, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "div_scalar n=" << n;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, StepBufferStallRow) {
-  ValueGen gen(13);
-  std::vector<double> dl, b1, s1, b2, s2;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(dl, n);
-      const double buf = gen.param(), extra = gen.param(), tau = gen.param(),
-                   cap = gen.param();
-      b1.assign(n, 0.0);
-      s1.assign(n, 0.0);
-      b2.assign(n, 0.0);
-      s2.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::step_buffer_stall_row(buf, dl.data(), n, extra, tau, cap, b1.data(),
-                                     s1.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::step_buffer_stall_row(buf, dl.data(), n, extra, tau, cap, b2.data(),
-                                     s2.data());
-      ASSERT_TRUE(bits_equal(b1.data(), b2.data(), n)) << "buf n=" << n << " t=" << t;
-      ASSERT_TRUE(bits_equal(s1.data(), s2.data(), n)) << "stall n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, ChunkQualityRows) {
-  ValueGen gen(14);
-  std::vector<double> vq, stall, prev, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(vq, n);
-      gen.fill(stall, n);
-      gen.fill(prev, n);
-      const double br = gen.param(), sat = gen.param(), bsw = gen.param(),
-                   floor = gen.param();
-      const double cvq = gen.param(), cprev = gen.param(), qn = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), n, br, sat, bsw,
-                                 floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), n, br, sat, bsw,
-                                 floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "general n=" << n << " t=" << t;
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_stall_row(cvq, cprev, qn, stall.data(), n, br, sat, bsw,
-                                       floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_stall_row(cvq, cprev, qn, stall.data(), n, br, sat, bsw,
-                                       floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "stall n=" << n << " t=" << t;
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_nostall_row(vq.data(), n, cprev, bsw, floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_nostall_row(vq.data(), n, cprev, bsw, floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "nostall n=" << n << " t=" << t;
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_nostall_prev_row(cvq, prev.data(), n, bsw, floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_nostall_prev_row(cvq, prev.data(), n, bsw, floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n))
-          << "nostall_prev n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, WhittleIndexRow) {
-  ValueGen gen(15);
-  std::vector<double> bytes, vq, prev, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(bytes, n);
-      gen.fill(vq, n);
-      gen.fill(prev, n);
-      const double den = gen.param(), buf = gen.param(), hr = gen.param(),
-                   drain = gen.param(), br = gen.param(), sat = gen.param(),
-                   bsw = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), n, den, buf, hr,
-                                 drain, br, sat, bsw, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), n, den, buf, hr,
-                                 drain, br, sat, bsw, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, TriangularFan) {
-  ValueGen gen(16);
-  std::vector<double> k1, p1, k2, p2;
-  for (size_t n = 0; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      const double center = gen.param(), cv = gen.param(), floor = gen.param();
-      k1.assign(n + 1, 0.0);
-      p1.assign(n + 1, 0.0);
-      k2.assign(n + 1, 0.0);
-      p2.assign(n + 1, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::triangular_fan(n, center, cv, floor, k1.data(), p1.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::triangular_fan(n, center, cv, floor, k2.data(), p2.data());
-      ASSERT_TRUE(bits_equal(k1.data(), k2.data(), n)) << "kbps n=" << n << " t=" << t;
-      ASSERT_TRUE(bits_equal(p1.data(), p2.data(), n)) << "prob n=" << n << " t=" << t;
-    }
-  }
-}
-
-// ---- cross-checks against the scalar helpers the kernels batch -------------
-
-// Each cross-check runs under every available backend: the kernel must
-// reproduce the reference expression bit-for-bit no matter who executes it.
-void for_each_backend(const std::function<void(const char*)>& body) {
-  set_kernel_backend(KernelBackend::kScalar);
-  body("scalar");
-  if (kernel_simd_supported()) {
-    set_kernel_backend(KernelBackend::kSimd);
-    body("simd");
-  }
-  set_kernel_backend(KernelBackend::kAuto);
-}
-
 TEST(KernelCrossCheck, ChunkQualityMatchesQoeHelper) {
   qoe::ChunkQualityParams params;  // the production defaults
-  ValueGen gen(21);
-  std::vector<double> vq(kMaxLen), stall(kMaxLen), prev(kMaxLen), out(kMaxLen);
-  for (size_t i = 0; i < kMaxLen; ++i) {
-    vq[i] = gen.positive(0.0, 5.0);
-    stall[i] = i % 3 == 0 ? 0.0 : gen.positive(-2.0, 10.0);
-    prev[i] = gen.positive(0.0, 5.0);
+  Draw draw(21);
+  std::vector<double> vq(kLen), stall(kLen), prev(kLen), out(kLen);
+  for (size_t i = 0; i < kLen; ++i) {
+    vq[i] = draw(0.0, 5.0);
+    stall[i] = i % 3 == 0 ? 0.0 : draw(-2.0, 10.0);
+    prev[i] = draw(0.0, 5.0);
   }
-  for_each_backend([&](const char* backend) {
-    kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), kMaxLen,
-                               params.beta_rebuf, params.rebuf_saturation,
-                               params.beta_switch, params.floor, out.data());
-    for (size_t i = 0; i < kMaxLen; ++i) {
-      const double ref = qoe::chunk_quality(vq[i], stall[i], prev[i], params);
-      EXPECT_EQ(out[i], ref) << backend << " i=" << i;
-    }
-    // The fixed-(vq, prev) variant against the same helper, per stall row.
-    kernels::chunk_quality_stall_row(
-        vq[0], prev[0], qoe::chunk_quality(vq[0], 0.0, prev[0], params), stall.data(),
-        kMaxLen, params.beta_rebuf, params.rebuf_saturation, params.beta_switch,
-        params.floor, out.data());
-    for (size_t i = 0; i < kMaxLen; ++i) {
-      const double expect = stall[i] > 0.0
-                                ? qoe::chunk_quality(vq[0], stall[i], prev[0], params)
-                                : qoe::chunk_quality(vq[0], 0.0, prev[0], params);
-      EXPECT_EQ(out[i], expect) << backend << " i=" << i;
-    }
-  });
-}
-
-TEST(KernelCrossCheck, StepBufferMatchesPlannerDynamics) {
-  constexpr double kMaxBufferS = 30.0;  // the planners' cap
-  ValueGen gen(22);
-  std::vector<double> dl(kMaxLen), buf(kMaxLen), stall(kMaxLen);
-  for (size_t i = 0; i < kMaxLen; ++i) dl[i] = gen.positive(0.0, 40.0);
-  for_each_backend([&](const char* backend) {
-    for (double extra : {0.0, 1.5}) {
-      const double b0 = 7.25, tau = 2.0;
-      kernels::step_buffer_stall_row(b0, dl.data(), kMaxLen, extra, tau, kMaxBufferS,
-                                     buf.data(), stall.data());
-      for (size_t i = 0; i < kMaxLen; ++i) {
-        // The ViPlanner recursion's exact statements.
-        double b = b0, s = 0.0;
-        if (dl[i] > b) {
-          s = dl[i] - b;
-          b = 0.0;
-        } else {
-          b -= dl[i];
-        }
-        if (extra > 0.0) {
-          b += extra;
-          s += extra;
-        }
-        b = std::min(b + tau, kMaxBufferS);
-        EXPECT_EQ(buf[i], b) << backend << " i=" << i << " extra=" << extra;
-        EXPECT_EQ(stall[i], s) << backend << " i=" << i << " extra=" << extra;
-      }
-    }
-  });
+  kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), kLen, params.beta_rebuf,
+                             params.rebuf_saturation, params.beta_switch, params.floor,
+                             out.data());
+  for (size_t i = 0; i < kLen; ++i) {
+    EXPECT_EQ(out[i], qoe::chunk_quality(vq[i], stall[i], prev[i], params)) << "i=" << i;
+  }
+  // The no-stall rows against the same helper at zero stall.
+  kernels::chunk_quality_nostall_row(vq.data(), kLen, prev[0], params.beta_switch,
+                                     params.floor, out.data());
+  for (size_t i = 0; i < kLen; ++i) {
+    EXPECT_EQ(out[i], qoe::chunk_quality(vq[i], 0.0, prev[0], params)) << "i=" << i;
+  }
+  kernels::chunk_quality_nostall_prev_row(vq[0], prev.data(), kLen, params.beta_switch,
+                                          params.floor, out.data());
+  for (size_t i = 0; i < kLen; ++i) {
+    EXPECT_EQ(out[i], qoe::chunk_quality(vq[0], 0.0, prev[i], params)) << "i=" << i;
+  }
 }
 
 TEST(KernelCrossCheck, QuantizeAndBucketMatchPlannerHelpers) {
-  ValueGen gen(23);
-  std::vector<double> kbps(kMaxLen), buf(kMaxLen), qout(kMaxLen);
-  std::vector<uint64_t> bout(kMaxLen);
-  for (size_t i = 0; i < kMaxLen; ++i) {
-    kbps[i] = gen.positive(-10.0, 20000.0);
-    buf[i] = gen.positive(-5.0, 35.0);
+  Draw draw(23);
+  std::vector<double> kbps(kLen), qout(kLen);
+  for (size_t i = 0; i < kLen; ++i) kbps[i] = draw(-10.0, 20000.0);
+  kernels::quantize_kbps_row(kbps.data(), kLen, abr::kViKbpsBinsPerOctave, qout.data());
+  for (size_t i = 0; i < kLen; ++i) {
+    EXPECT_EQ(qout[i], abr::quantize_kbps(kbps[i])) << "i=" << i;
   }
-  buf[0] = -0.0;  // must land in bucket 0 with +0.0
-  buf[1] = 0.0;
-  for_each_backend([&](const char* backend) {
-    kernels::quantize_kbps_row(kbps.data(), kMaxLen, abr::kViKbpsBinsPerOctave,
-                               qout.data());
-    kernels::buffer_bucket_row(buf.data(), kMaxLen, abr::kDefaultViBufferQuantumS,
-                               bout.data());
-    for (size_t i = 0; i < kMaxLen; ++i) {
-      EXPECT_EQ(qout[i], abr::quantize_kbps(kbps[i])) << backend << " i=" << i;
-      EXPECT_EQ(bout[i], abr::buffer_bucket(buf[i], abr::kDefaultViBufferQuantumS))
-          << backend << " i=" << i;
-    }
-  });
+  // The buffer bucket map: everything at or below zero (and NaN) lands in
+  // bucket 0; positive buffers round to the nearest bucket.
+  const double q = abr::kDefaultViBufferQuantumS;
+  for (double b : {-0.0, 0.0, -3.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(abr::buffer_bucket(b, q), 0u) << b;
+  }
+  for (size_t i = 0; i < kLen; ++i) {
+    const double b = draw(1e-3, 35.0);
+    const double center = static_cast<double>(abr::buffer_bucket(b, q)) * q;
+    EXPECT_LE(std::fabs(b - center), 0.5 * q + 1e-12) << "b=" << b;
+  }
 }
 
 TEST(KernelCrossCheck, WhittleRowMatchesLevelIndex) {
@@ -422,160 +104,46 @@ TEST(KernelCrossCheck, WhittleRowMatchesLevelIndex) {
     vq[l] = video.visual_quality(obs.next_chunk, l);
     prev[l] = video.visual_quality(obs.next_chunk - 1, obs.last_level);
   }
-  for_each_backend([&](const char* backend) {
-    kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), L,
-                               budget_kbps * 1000.0, obs.buffer_s, cfg.headroom,
-                               cfg.drain_penalty, cfg.chunk.beta_rebuf,
-                               cfg.chunk.rebuf_saturation, cfg.chunk.beta_switch,
-                               idx.data());
-    for (size_t l = 0; l < L; ++l) {
-      EXPECT_EQ(idx[l], wh.level_index(obs, l, obs.buffer_s, budget_kbps))
-          << backend << " level=" << l;
-    }
-  });
+  kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), L, budget_kbps * 1000.0,
+                             obs.buffer_s, cfg.headroom, cfg.drain_penalty,
+                             cfg.chunk.beta_rebuf, cfg.chunk.rebuf_saturation,
+                             cfg.chunk.beta_switch, idx.data());
+  for (size_t l = 0; l < L; ++l) {
+    EXPECT_EQ(idx[l], wh.level_index(obs, l, obs.buffer_s, budget_kbps)) << "level=" << l;
+  }
 }
 
 TEST(KernelCrossCheck, TriangularFanMatchesScenarioFan) {
-  for_each_backend([&](const char* backend) {
-    for (size_t count : {1u, 2u, 5u, 16u}) {
-      const auto fan = net::triangular_scenarios(count, 3100.0, 0.4);
-      ASSERT_EQ(fan.size(), count);
-      std::vector<double> kbps(count), prob(count);
-      kernels::triangular_fan(count, 3100.0, 0.4, 30.0, kbps.data(), prob.data());
-      const double total = kernels::sum_row(prob.data(), count);
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(fan[i].kbps, kbps[i]) << backend << " count=" << count << " i=" << i;
-        EXPECT_EQ(fan[i].probability, prob[i] / total)
-            << backend << " count=" << count << " i=" << i;
-      }
+  for (size_t count : {1u, 2u, 5u, 16u}) {
+    const auto fan = net::triangular_scenarios(count, 3100.0, 0.4);
+    ASSERT_EQ(fan.size(), count);
+    std::vector<double> kbps(count), prob(count);
+    kernels::triangular_fan(count, 3100.0, 0.4, 30.0, kbps.data(), prob.data());
+    const double total = kernels::sum_row(prob.data(), count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(fan[i].kbps, kbps[i]) << "count=" << count << " i=" << i;
+      EXPECT_EQ(fan[i].probability, prob[i] / total) << "count=" << count << " i=" << i;
     }
-  });
+  }
 }
 
 TEST(KernelCrossCheck, OrderPinnedPrimitives) {
-  ValueGen gen(24);
-  std::vector<double> x(kMaxLen), w(kMaxLen);
-  for (size_t i = 0; i < kMaxLen; ++i) {
-    x[i] = gen.positive(-10.0, 10.0);
-    w[i] = gen.positive(0.0, 1.0);
-  }
+  Draw draw(24);
+  std::vector<double> x(kLen);
+  for (size_t i = 0; i < kLen; ++i) x[i] = draw(-10.0, 10.0);
   x[4] = x[9] = x[12];  // force ties for the argmax tie-break check
-  double sum = 0.0, wsum = 0.0;
+  double sum = 0.0;
   size_t best = 0;
-  for (size_t i = 0; i < kMaxLen; ++i) {
+  for (size_t i = 0; i < kLen; ++i) {
     sum += x[i];
-    wsum += w[i] * x[i];
     if (x[i] > x[best]) best = i;
   }
-  for_each_backend([&](const char* backend) {
-    EXPECT_EQ(kernels::sum_row(x.data(), kMaxLen), sum) << backend;
-    EXPECT_EQ(kernels::weighted_sum_row(w.data(), x.data(), kMaxLen), wsum) << backend;
-    EXPECT_EQ(kernels::argmax_strict_row(x.data(), kMaxLen), best) << backend;
-    EXPECT_EQ(kernels::argmax_strict_row(x.data(), 0), 0u) << backend;
-  });
+  EXPECT_EQ(kernels::sum_row(x.data(), kLen), sum);
+  EXPECT_EQ(kernels::argmax_strict_row(x.data(), kLen), best);
+  EXPECT_EQ(kernels::argmax_strict_row(x.data(), 0), 0u);
 }
 
-// ---- end-to-end backend invariance ------------------------------------------
-
-class KernelEndToEnd : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!kernel_simd_supported()) GTEST_SKIP() << "no SIMD backend on this host";
-  }
-  void TearDown() override { set_kernel_backend(KernelBackend::kAuto); }
-};
-
-// A fig14-style shared-bottleneck grid (vi-Fugu sessions contending on one
-// link) must emit bit-identical per-chunk records under both backends.
-TEST_F(KernelEndToEnd, MultiSessionRunBackendInvariant) {
-  media::EncodedVideo video_a = media::Encoder().encode(
-      media::SourceVideo::generate("KernelsA", media::Genre::kSports, 90));
-  media::EncodedVideo video_b = media::Encoder().encode(
-      media::SourceVideo::generate("KernelsB", media::Genre::kNature, 120));
-  net::ThroughputTrace bottleneck =
-      net::TraceGenerator::cellular("kernels-e2e", 1700, 400.0, 5).scaled(10.0, "k-x10");
-
-  auto run = [&](KernelBackend backend) {
-    set_kernel_backend(backend);
-    std::vector<std::unique_ptr<sim::AbrPolicy>> policies;
-    std::vector<sim::AbrPolicy*> policy_ptrs;
-    for (size_t k = 0; k < 10; ++k) {
-      abr::FuguConfig fc;
-      fc.planner = k % 2 == 0 ? abr::PlannerKind::kVi : abr::PlannerKind::kDp;
-      policies.push_back(std::make_unique<abr::FuguAbr>(fc));
-      policy_ptrs.push_back(policies.back().get());
-    }
-    std::vector<const media::EncodedVideo*> videos = {&video_a, &video_b};
-    auto specs = sim::StaggeredSpecs{videos, policy_ptrs, {}, 10, 4.0}.build();
-    return sim::Simulator().run(specs, bottleneck, sim::LinkMode::kShared);
-  };
-
-  auto scalar = run(KernelBackend::kScalar);
-  auto simd = run(KernelBackend::kSimd);
-  ASSERT_EQ(scalar.size(), simd.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    const auto& a = scalar[i].session;
-    const auto& b = simd[i].session;
-    ASSERT_EQ(a.chunks().size(), b.chunks().size()) << "session " << i;
-    for (size_t j = 0; j < a.chunks().size(); ++j) {
-      SCOPED_TRACE("session " + std::to_string(i) + " chunk " + std::to_string(j));
-      EXPECT_EQ(a.chunks()[j].level, b.chunks()[j].level);
-      EXPECT_EQ(a.chunks()[j].rebuffer_s, b.chunks()[j].rebuffer_s);
-      EXPECT_EQ(a.chunks()[j].download_time_s, b.chunks()[j].download_time_s);
-      EXPECT_EQ(a.chunks()[j].buffer_after_s, b.chunks()[j].buffer_after_s);
-      EXPECT_EQ(a.chunks()[j].visual_quality, b.chunks()[j].visual_quality);
-    }
-  }
-}
-
-// Fleet aggregates (the resilience/fleet determinism rows feed off these)
-// must be bit-identical across backends at 1 and 4 runner threads.
-TEST_F(KernelEndToEnd, FleetRunBackendInvariant) {
-  std::vector<media::EncodedVideo> videos;
-  media::Encoder encoder;
-  videos.push_back(
-      encoder.encode(media::SourceVideo::generate("KFleetA", media::Genre::kSports, 60)));
-  videos.push_back(
-      encoder.encode(media::SourceVideo::generate("KFleetB", media::Genre::kNature, 80)));
-  std::vector<const media::EncodedVideo*> video_ptrs;
-  for (const auto& v : videos) video_ptrs.push_back(&v);
-
-  sim::FleetConfig config;
-  config.num_cells = 4;
-  config.seed = 515;
-  config.workload.arrival_rate_per_s = 0.25;
-  config.workload.arrival_window_s = 90.0;
-  config.workload.abandon_fraction = 0.3;
-  config.workload.mean_abandon_chunks = 8.0;
-
-  auto run = [&](KernelBackend backend, size_t threads) {
-    set_kernel_backend(backend);
-    core::ExperimentRunner runner(threads);
-    return sim::FleetSimulator(config).run(video_ptrs, runner);
-  };
-
-  const sim::FleetAggregates ref = run(KernelBackend::kScalar, 1);
-  ASSERT_GT(ref.sessions, 10u);
-  for (size_t threads : {1u, 4u}) {
-    const sim::FleetAggregates agg = run(KernelBackend::kSimd, threads);
-    EXPECT_EQ(agg.sessions, ref.sessions) << "threads=" << threads;
-    EXPECT_EQ(agg.chunks, ref.chunks) << "threads=" << threads;
-    EXPECT_EQ(agg.outages, ref.outages) << "threads=" << threads;
-    EXPECT_EQ(agg.session_qoe.mean(), ref.session_qoe.mean()) << "threads=" << threads;
-    EXPECT_EQ(agg.session_qoe.variance(), ref.session_qoe.variance())
-        << "threads=" << threads;
-    EXPECT_EQ(agg.session_bitrate_kbps.mean(), ref.session_bitrate_kbps.mean())
-        << "threads=" << threads;
-    EXPECT_EQ(agg.session_rebuffer_s.mean(), ref.session_rebuffer_s.mean())
-        << "threads=" << threads;
-    for (double q : {0.5, 0.9, 0.99}) {
-      EXPECT_EQ(agg.qoe_sketch.quantile(q), ref.qoe_sketch.quantile(q))
-          << "threads=" << threads << " q=" << q;
-    }
-  }
-}
-
-// The ScenarioPredictor memo (PR 10) must be invisible: scenarios_into on an
+// The ScenarioPredictor memo must be invisible: scenarios_into on an
 // unchanged window replays the exact fan, and a new observation refreshes it.
 TEST(KernelCrossCheck, ScenarioPredictorCacheIsTransparent) {
   net::ScenarioPredictor cached(8), plain(8);

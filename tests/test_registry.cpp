@@ -131,6 +131,28 @@ TEST(PolicyRegistry, RejectsUnknownVocabularyNamingAlternatives) {
   EXPECT_THROW(registry.canonical_string("fugu:horizon=-3"), std::runtime_error);
   EXPECT_THROW(registry.canonical_string("fugu:horizon=3.5"), std::runtime_error);
   EXPECT_THROW(registry.make("no-such-policy"), std::runtime_error);
+  EXPECT_THROW(registry.canonical_string("fugu:planner=vi,dp_buffer_quantum_s=1e-300"),
+               std::runtime_error);
+  EXPECT_THROW(registry.canonical_string("fugu:dp_buffer_quantum_s=1e-6"), std::runtime_error);
+  EXPECT_THROW(registry.canonical_string("fugu:dp_buffer_quantum_s=-1"), std::runtime_error);
+  EXPECT_THROW(registry.canonical_string("sensei-fugu:dp_buffer_quantum_s=-0.25"),
+               std::runtime_error);
+
+  // An out-of-range value names the key and where its value starts.
+  message = thrown_message(
+      [&] { registry.canonical_string("fugu:planner=vi,dp_buffer_quantum_s=1e-300"); });
+  EXPECT_NE(message.find("key 'dp_buffer_quantum_s' must be 0 or >= 0.001"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("at position 36"), std::string::npos) << message;
+  EXPECT_NO_THROW(registry.canonical_string("fugu:dp_buffer_quantum_s=0.001"));
+
+  // make_planner draws the same line for configs built without the registry.
+  for (double bad : {1e-300, 1e-6, -1.0, -0.25}) {
+    EXPECT_THROW(make_planner(PlannerKind::kVi, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(make_planner(PlannerKind::kDp, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NE(make_planner(PlannerKind::kVi, 1e-3), nullptr);
+  EXPECT_NE(make_planner(PlannerKind::kDp, 0.0), nullptr);
 }
 
 // ---- canonicalization -------------------------------------------------------
