@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "abr/fugu.h"
@@ -220,12 +222,26 @@ TEST_F(PlannerAccuracy, BatchedDecideBitIdenticalToUnbatched) {
   EXPECT_GT(batch.num_vi_tables(), 0u);
 }
 
-// Wide forecasts (S >= 8 scenarios) pinned to literal bits. The Fugu
-// default is 3 scenarios, so every other identity gate in the repo runs the
-// narrow path; this one fixes ViPlanner's output on wide rows, batched and
-// unbatched, to digests of best_level, best_rebuffer_s, best_value and the
-// nostall_* pair over a seeded grid.
-class ViWideRowPins : public PlannerAccuracy, public ::testing::WithParamInterface<size_t> {};
+// ViPlanner's output pinned to literal bits across scenario-row widths:
+// the production width (S = 3, the Fugu default), the single-scenario
+// degenerate row and wide forecasts (S >= 8), plus S = 3 under quanta that
+// are not powers of two (0.3 s, 1.5 s), whose bucket edges never fall on
+// the default grid's. Each case runs batched and unbatched, digesting
+// best_level, best_rebuffer_s, best_value and the nostall_* pair over a
+// seeded grid.
+struct ViRowCase {
+  size_t num_scen = 0;
+  double quantum = 0.0;  // 0 = ViPlanner's default bucket width
+};
+
+// Names the case in the test id: the bare row width at the default quantum
+// (so those ids read .../8), else width and quantum (.../3_q0.3).
+void PrintTo(const ViRowCase& c, std::ostream* os) {
+  *os << c.num_scen;
+  if (c.quantum > 0.0) *os << "_q" << c.quantum;
+}
+
+class ViWideRowPins : public PlannerAccuracy, public ::testing::WithParamInterface<ViRowCase> {};
 
 // FNV-1a over the raw bits of every PlanResult field the planners report.
 uint64_t fold_result(uint64_t h, const PlanResult& r) {
@@ -248,8 +264,14 @@ uint64_t fold_result(uint64_t h, const PlanResult& r) {
   return h;
 }
 
-uint64_t pinned_wide_digest(size_t num_scen) {
-  switch (num_scen) {
+uint64_t pinned_row_digest(const ViRowCase& c) {
+  if (c.quantum == 0.3) return 0x511923a2ada61bc1ull;
+  if (c.quantum == 1.5) return 0x23a87b1bc184935dull;
+  switch (c.num_scen) {
+    case 1:
+      return 0x2b14663e0bf2adb5ull;
+    case 3:
+      return 0x3bdb984b5547cdd1ull;
     case 8:
       return 0x13ea5671d8c481a9ull;
     case 12:
@@ -260,26 +282,29 @@ uint64_t pinned_wide_digest(size_t num_scen) {
 }
 
 TEST_P(ViWideRowPins, DecisionsMatchPinnedBits) {
-  const size_t num_scen = GetParam();
-  const auto grid = seeded_grid(video_, 0x51de0000 + num_scen, 4, num_scen);
+  const ViRowCase c = GetParam();
+  const auto grid = seeded_grid(video_, 0x51de0000 + c.num_scen, 4, c.num_scen);
   PlanBatch batch;
-  ViPlanner plain, batched;
+  ViPlanner plain(c.quantum), batched(c.quantum);
   batched.set_batch(&batch);
   // Two passes: the second replays the grid against warm shared tables.
   for (int pass = 0; pass < 2; ++pass) {
     uint64_t h_plain = 0xcbf29ce484222325ull, h_batched = h_plain;
-    for (const auto& c : grid) {
-      PlanQuery q = make_query(c);
+    for (const auto& g : grid) {
+      PlanQuery q = make_query(g);
       h_plain = fold_result(h_plain, plain.plan(q));
       h_batched = fold_result(h_batched, batched.plan(q));
     }
-    SCOPED_TRACE("S=" + std::to_string(num_scen) + " pass " + std::to_string(pass));
-    EXPECT_EQ(h_plain, pinned_wide_digest(num_scen)) << std::hex << h_plain;
-    EXPECT_EQ(h_batched, pinned_wide_digest(num_scen)) << std::hex << h_batched;
+    SCOPED_TRACE(::testing::PrintToString(c) + " pass " + std::to_string(pass));
+    EXPECT_EQ(h_plain, pinned_row_digest(c)) << std::hex << h_plain;
+    EXPECT_EQ(h_batched, pinned_row_digest(c)) << std::hex << h_batched;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(WideScenarioRows, ViWideRowPins, ::testing::Values(size_t{8}, size_t{12}, size_t{16}));
+INSTANTIATE_TEST_SUITE_P(WideScenarioRows, ViWideRowPins,
+                         ::testing::Values(ViRowCase{8}, ViRowCase{12}, ViRowCase{16},
+                                           ViRowCase{1}, ViRowCase{3},
+                                           ViRowCase{3, 0.3}, ViRowCase{3, 1.5}));
 
 // The same invariant at the event-loop level: a multi-session Simulator run
 // with share_plan_tables on (the default) must be byte-identical to one
