@@ -101,7 +101,7 @@ PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
                                              size_t next_chunk, size_t depth_count,
                                              size_t levels, double quantum,
                                              const double* key, size_t key_len,
-                                             size_t cell_count, bool* created) {
+                                             size_t row_count, bool* created) {
   // FNV-1a folded a machine word at a time: every keyed field is naturally
   // 8 bytes (pointers, counts, double bit patterns), and the hash only
   // steers the probe — the full compare below decides identity — so the
@@ -163,9 +163,9 @@ PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
   t.levels = levels;
   t.quantum = quantum;
   t.key.assign(key, key + key_len);
-  t.v.reset(new double[cell_count]);  // uninitialized on purpose, see header
-  t.cell_count = cell_count;
-  t.filled.assign(cell_count, 0);
+  t.cell_count = row_count * levels;
+  t.v.reset(new double[t.cell_count]);  // uninitialized on purpose, see header
+  t.filled.assign(row_count, 0);
   *created = true;
   return t;
 }
@@ -748,7 +748,8 @@ size_t ViPlanner::arena_bytes() const {
           root_dl_.capacity() + exact_kbps_.capacity() + qkbps_.capacity() +
           key_.capacity() + width_.capacity() + v_.capacity()) *
              sizeof(double) +
-         (vstamp_.capacity() + bcount_.capacity() + off_.capacity()) * sizeof(uint64_t);
+         row_off_.capacity() * sizeof(size_t) + row_filled_.capacity() +
+         trans_.capacity() * sizeof(Transition);
 }
 
 void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
@@ -844,35 +845,32 @@ void ViPlanner::fill_dl(double* dl) const {
   }
 }
 
-// Continuation value of depths [depth, D) when the buffer sits at
-// `buffer_s` (bucketed here, at depth's own resolution) and the previous
-// chunk played at `prev_level`. Closed-loop: each scenario contributes the
-// value of its *own* post-step buffer, so deeper choices adapt to the
-// realized throughput (the source of the pinned delta vs the open-loop
-// exact planners). A step's contribution uses the same quality/stall
-// decomposition as weighted_step_quality, folded per scenario:
-// w * qn + max(w, 1) * (qv - qn).
-double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
+double ViPlanner::child_value(size_t depth, double buffer_s, size_t level) {
   if (depth >= D_) return 0.0;
-  const double width = width_[depth];
-  const size_t bucket = static_cast<size_t>(buffer_bucket(buffer_s, width));
-  const size_t idx = off_[depth] + bucket * L_ + prev_level;
-  if (filled_ != nullptr) {
-    if (filled_[idx]) return v_cells_[idx];
-  } else if (vstamp_[idx] == round_) {
-    return v_cells_[idx];
-  }
+  const size_t bucket = static_cast<size_t>(buffer_bucket(buffer_s, width_[depth]));
+  const size_t row = row_off_[depth] + bucket;
+  if (!filled_[row]) fill_row(depth, bucket);
+  return v_cells_[row * L_ + level];
+}
 
-  const double b0 = static_cast<double>(bucket) * width;
-  const double prev_vq = vq_tab_[(depth - 1) * L_ + prev_level];
-  const double w = w_[depth];
-  const double wstall = std::max(w, 1.0);
-  double best = -1e18;
+// Fills the (depth, bucket) row: the continuation value of depths [depth, D)
+// from the bucket's center buffer, for every previous level p. Closed-loop:
+// each scenario contributes the value of its *own* post-step buffer, so
+// deeper choices adapt to the realized throughput (the source of the pinned
+// delta vs the open-loop exact planners). A step's contribution uses the
+// same quality/stall decomposition as weighted_step_quality, folded per
+// scenario: w * qn + max(w, 1) * (qv - qn), qv being qoe::chunk_quality.
+// Only the switch penalty depends on p, so each (level, scenario)
+// transition's stall, child value and stall-penalized quality are computed
+// once into the depth's scratch slab and every cell folds them in the same
+// order.
+void ViPlanner::fill_row(size_t depth, size_t bucket) {
+  const qoe::ChunkQualityParams& cq = q_->chunk;
+  Transition* tr = &trans_[depth * L_ * S_];
+  const double b0 = static_cast<double>(bucket) * width_[depth];
   for (size_t l = 0; l < L_; ++l) {
     const double vqv = vq_tab_[depth * L_ + l];
-    const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
     const double* dl_row = &dl_tab_[(depth * L_ + l) * S_];
-    double acc = 0.0;
     for (size_t s = 0; s < S_; ++s) {
       double b = b0;
       const double dl = dl_row[s];
@@ -884,19 +882,39 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
         b -= dl;
       }
       b = std::min(b + tau_, kMaxBufferS);
-      const double qv =
-          stall > 0.0 ? qoe::chunk_quality(vqv, stall, prev_vq, q_->chunk) : qn;
-      acc += prob_[s] * (w * qn + wstall * (qv - qn) + value_of(depth + 1, b, l));
+      Transition& t = tr[l * S_ + s];
+      t.stalled = stall > 0.0;
+      t.stall_q = t.stalled ? qoe::stall_penalized_quality(vqv, stall, cq) : 0.0;
+      t.child = child_value(depth + 1, b, l);
     }
-    if (acc > best) best = acc;
   }
-  if (filled_ != nullptr) {
-    filled_[idx] = 1;
-  } else {
-    vstamp_[idx] = round_;
+
+  const double w = w_[depth];
+  const double wstall = std::max(w, 1.0);
+  const double* prev_vq = &vq_tab_[(depth - 1) * L_];
+  const size_t row = row_off_[depth] + bucket;
+  double* cells = &v_cells_[row * L_];
+  for (size_t p = 0; p < L_; ++p) {
+    double best = -1e18;
+    for (size_t l = 0; l < L_; ++l) {
+      const double vqv = vq_tab_[depth * L_ + l];
+      const double qn = qn_tab_[(depth * L_ + l) * L_ + p];
+      const double nostall_step = w * qn + wstall * (qn - qn);  // qv == qn
+      const Transition* t = &tr[l * S_];
+      double acc = 0.0;
+      for (size_t s = 0; s < S_; ++s) {
+        double step = nostall_step;
+        if (t[s].stalled) {
+          const double qv = qoe::with_switch_penalty(t[s].stall_q, vqv, prev_vq[p], cq);
+          step = w * qn + wstall * (qv - qn);
+        }
+        acc += prob_[s] * (step + t[s].child);
+      }
+      if (acc > best) best = acc;
+    }
+    cells[p] = best;
   }
-  v_cells_[idx] = best;
-  return best;
+  filled_[row] = 1;
 }
 
 PlanResult ViPlanner::plan(const PlanQuery& q) {
@@ -917,17 +935,16 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
   // buffer; depth d >= 1 lives on buckets of width quantum * 2^(d-1). The
   // dynamics cap the buffer at kMaxBufferS, so its bucket bounds each axis.
   width_.assign(D_, 0.0);
-  bcount_.assign(D_, 0);
-  off_.assign(D_, 0);
-  cells_ = 0;
+  row_off_.assign(D_, 0);
+  rows_ = 0;
   double wd = quantum_;
   for (size_t d = 1; d < D_; ++d) {
     width_[d] = wd;
-    bcount_[d] = static_cast<size_t>(buffer_bucket(kMaxBufferS, wd)) + 1;
-    off_[d] = cells_;
-    cells_ += bcount_[d] * L_;
+    row_off_[d] = rows_;
+    rows_ += static_cast<size_t>(buffer_bucket(kMaxBufferS, wd)) + 1;
     wd *= 2.0;
   }
+  trans_.resize(D_ * L_ * S_);
 
   precompute(q, D_);
 
@@ -962,7 +979,7 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     if (vt == nullptr) {
       bool created = false;
       vt = &batch_->vi_table(video, q.chunk, q.obs->next_chunk, D_, L_, quantum_,
-                             key_.data(), key_.size(), cells_, &created);
+                             key_.data(), key_.size(), rows_, &created);
       if (created) {
         vt->dl.resize(D_ * L_ * S_);
         fill_dl(vt->dl.data());
@@ -980,35 +997,14 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     local_dl_.resize(D_ * L_ * S_);
     fill_dl(local_dl_.data());
     dl_tab_ = local_dl_.data();
-    if (v_.size() < cells_) {
-      v_.resize(cells_);
-      vstamp_.resize(cells_, 0);
-    }
-    ++round_;  // no cell carries this stamp yet: the table is logically clear
+    if (v_.size() < rows_ * L_) v_.resize(rows_ * L_);
+    row_filled_.assign(rows_, 0);
     v_cells_ = v_.data();
-    filled_ = nullptr;
+    filled_ = row_filled_.data();
   }
 
   const double w0 = w_[0];
   const double wstall0 = std::max(w0, 1.0);
-  // Depth-1 memo read with the hit path inlined: the root fold makes L*S of
-  // these, and funneling every one through the recursive value_of call kept
-  // the loads serialized behind call/return; inline, the out-of-order core
-  // overlaps the (usually cold) cell fetches across iterations. The bucket
-  // expression is value_of's own, so hit or miss, the bits are the same.
-  const double width1 = D_ > 1 ? width_[1] : 1.0;
-  const size_t base1 = D_ > 1 ? off_[1] : 0;
-  const auto depth1_value = [&](double b, size_t level) -> double {
-    if (D_ <= 1) return 0.0;
-    const size_t idx =
-        base1 + static_cast<size_t>(buffer_bucket(b, width1)) * L_ + level;
-    if (filled_ != nullptr) {
-      if (filled_[idx]) return v_cells_[idx];
-    } else if (vstamp_[idx] == round_) {
-      return v_cells_[idx];
-    }
-    return value_of(1, b, level);
-  };
   for (size_t level = 0; level < L_; ++level) {
     const double qn = root_qn_[level];
     const double vqv = vq_tab_[level];
@@ -1034,7 +1030,7 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
         const double qv =
             stall > 0.0 ? qoe::chunk_quality(vqv, stall, q.prev_visual_quality, q.chunk)
                         : qn;
-        acc += prob_[s] * (w0 * qn + wstall0 * (qv - qn) + depth1_value(b, level));
+        acc += prob_[s] * (w0 * qn + wstall0 * (qv - qn) + child_value(1, b, level));
       }
       // Strict improvement only: level-major, stall-option-minor iteration
       // reproduces the exact planners' first-strictly-better tie-break.

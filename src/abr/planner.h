@@ -47,8 +47,11 @@
 //    forecasts plan on identical inputs — but only for the lookahead tail:
 //    the root step is always evaluated on the exact forecasts, so the
 //    immediate stall/no-stall tradeoff is never misjudged by a bin that
-//    rounded the throughput up. (3) Values are memoized lazily
-//    from the root — round-stamped, no hashing, zero steady-state
+//    rounded the throughput up. (3) Values are memoized lazily from the
+//    root a whole (depth, bucket) row at a time: a row's post-step
+//    buffers, stalls and child values do not depend on the previous
+//    level, so they are computed once per row and folded into all L
+//    previous-level cells — one flag per row, no hashing, zero steady-state
 //    allocation — and, when a PlanBatch is attached, the whole value table
 //    is shared across sessions keyed by (video, chunk, horizon, discretized
 //    scenarios, weights): concurrent viewers with similar forecasts at the
@@ -119,15 +122,26 @@ inline double quantize_kbps(double kbps) {
 }
 
 // The one buffer-discretization rule every planner shares: round to the
-// nearest `quantum_s` bucket with std::llround (round-half-away-from-zero —
-// never floor or a float->int truncation, which disagree around bucket
-// edges and on negative inputs and would split states across platforms).
+// nearest `quantum_s` bucket, half away from zero — exactly std::llround,
+// never floor or a bare float->int truncation, which disagree around bucket
+// edges and on negative inputs and would split states across platforms.
 // Everything at or below zero — including -0.0, which must not land in a
 // different bucket than +0.0 — maps to bucket 0, matching the dynamics'
 // buffer floor. The caller guarantees quantum_s > 0.
+//
+// Below 2^63 the rounding is done inline: for 0 <= x < 2^63 the cast
+// truncates to a representable i and x - i is exact (the fractional part of
+// a double is), so i + (x - i >= 0.5) is llround(x) bit for bit without its
+// out-of-line libm call. Larger ratios and +inf keep std::llround, so the
+// function's whole domain is unchanged.
 inline uint64_t buffer_bucket(double buffer_s, double quantum_s) {
   if (!(buffer_s > 0.0)) return 0;  // negatives, -0.0, NaN -> the floor bucket
-  return static_cast<uint64_t>(std::llround(buffer_s / quantum_s));
+  const double x = buffer_s / quantum_s;
+  if (x < 0x1p63) {
+    const int64_t i = static_cast<int64_t>(x);
+    return static_cast<uint64_t>(i + (x - static_cast<double>(i) >= 0.5 ? 1 : 0));
+  }
+  return static_cast<uint64_t>(std::llround(x));
 }
 
 // One lookahead request. Pointers reference caller-owned storage and must
@@ -229,11 +243,13 @@ class PlanBatch {
     // weights when the query uses them.
     std::vector<double> key;
     // Lazily filled value cells (multi-resolution [depth][bucket][level]
-    // layout, see ViPlanner) and the expected download-time rows
-    // [(d * L + l) * S + s] derived from the quantized scenarios. The value
-    // array is deliberately *uninitialized* at creation: every read is
-    // guarded by `filled`, and zeroing (plus first-touching) ~20KB of cells
-    // the lazy recursion may never reach dominated the table-create path.
+    // layout, see ViPlanner), one `filled` flag per (depth, bucket) row —
+    // a row's L cells are always filled together — and the expected
+    // download-time rows [(d * L + l) * S + s] derived from the quantized
+    // scenarios. The value array is deliberately *uninitialized* at
+    // creation: every read is guarded by its row's flag, and zeroing (plus
+    // first-touching) cells the lazy fill may never reach dominated the
+    // table-create path.
     std::unique_ptr<double[]> v;
     size_t cell_count = 0;
     std::vector<uint8_t> filled;
@@ -248,13 +264,14 @@ class PlanBatch {
   };
 
   // Returns the shared VI table for the given discretized context, creating
-  // it (v/filled sized to `cell_count`, zeroed) on first use; `*created`
-  // tells the caller to finish initialization (the dl rows). The reference
-  // stays valid for the batch's lifetime.
+  // it on first use with `row_count` (depth, bucket) rows: v holds
+  // row_count * levels uninitialized cells and every row flag starts clear.
+  // `*created` tells the caller to finish initialization (the dl rows). The
+  // reference stays valid for the batch's lifetime.
   ViValueTable& vi_table(const media::EncodedVideo& video,
                          const qoe::ChunkQualityParams& params, size_t next_chunk,
                          size_t depth_count, size_t levels, double quantum,
-                         const double* key, size_t key_len, size_t cell_count,
+                         const double* key, size_t key_len, size_t row_count,
                          bool* created);
 
   size_t num_videos() const { return tables_.size(); }
@@ -378,10 +395,11 @@ class DpPlanner : public Planner {
 // lookahead value of (depth, discretized buffer, previous level) is memoized
 // in a flat multi-resolution table — the bucket width starts at quantum_s
 // and doubles with each deeper step. Values are computed lazily from the
-// root, so only buckets actually reachable from the observed buffer are
-// evaluated. Unbatched, the table lives in a local round-stamped arena (a
-// slot is live iff its stamp equals the current decide()'s round — nothing
-// is cleared between decisions, zero steady-state allocation). With a
+// root one (depth, bucket) row at a time, so only buckets actually reachable
+// from the observed buffer are evaluated, and each reached row fills all of
+// its previous-level cells from one pass over its level x scenario
+// transitions. Unbatched, the table lives in a local arena whose row flags
+// are cleared at every decide() (zero steady-state allocation). With a
 // PlanBatch attached, the table is the shared per-context ViValueTable and
 // survives across sessions and decisions: a cache hit reduces decide() to
 // the root evaluation.
@@ -403,7 +421,11 @@ class ViPlanner : public Planner {
  private:
   void precompute(const PlanQuery& q, size_t depth_count);
   void fill_dl(double* dl) const;
-  double value_of(size_t depth, double buffer_s, size_t prev_level);
+  // Value of depths [depth, D) entered at `buffer_s` (bucketed at depth's
+  // resolution) after a chunk at `level`: 0 past the horizon, else the
+  // memoized cell, filling its row first when the row flag is clear.
+  double child_value(size_t depth, double buffer_s, size_t level);
+  void fill_row(size_t depth, size_t bucket);
 
   double quantum_;
   PlanBatch* batch_ = nullptr;
@@ -411,18 +433,17 @@ class ViPlanner : public Planner {
   // ViValueTable::succ successor shortcut. Cleared on every batch change.
   PlanBatch::ViValueTable* last_vt_ = nullptr;
 
-  // Per-decide context (set by plan(), read by value_of).
+  // Per-decide context (set by plan(), read by fill_row).
   const PlanQuery* q_ = nullptr;
   size_t D_ = 0, L_ = 0, S_ = 0;
   double tau_ = 0.0;
 
   // Multi-resolution grid geometry for depths [1, D): bucket width per
-  // depth, bucket count per depth, and the cell offset of each depth's
-  // [bucket][level] slab in the value table.
+  // depth and the index of each depth's first (depth, bucket) row; row r's
+  // L cells sit at [r * L, r * L + L) in the value table.
   std::vector<double> width_;
-  std::vector<size_t> bcount_;
-  std::vector<size_t> off_;
-  size_t cells_ = 0;
+  std::vector<size_t> row_off_;
+  size_t rows_ = 0;
 
   // The exact and quantized forecast kbps (quantize_kbps bins) as
   // contiguous rows — the planner's actual throughput inputs, batched or
@@ -455,13 +476,22 @@ class ViPlanner : public Planner {
   // Chunk-quality params cached as scalars for the no-stall row helpers.
   double bsw_ = 0.0, floor_ = 0.0;
 
-  // Value cells for this decide(): either the shared ViValueTable (filled_
-  // non-null, filled-flag liveness) or the local round-stamped arena.
+  // Value cells and row flags for this decide(): the shared ViValueTable's,
+  // or the local arena's (flags cleared at every unbatched decide()).
   double* v_cells_ = nullptr;
   uint8_t* filled_ = nullptr;
   std::vector<double> v_;
-  std::vector<uint64_t> vstamp_;
-  uint64_t round_ = 0;
+  std::vector<uint8_t> row_filled_;
+
+  // fill_row scratch, one [l * S + s] slab per depth (the recursion holds at
+  // most one open row per depth): what each (level, scenario) transition out
+  // of the row contributes independently of the previous level.
+  struct Transition {
+    double child = 0.0;    // value of the post-step (depth + 1) bucket
+    double stall_q = 0.0;  // qoe::stall_penalized_quality, if stalled
+    bool stalled = false;
+  };
+  std::vector<Transition> trans_;
 };
 
 // Throws std::invalid_argument when buffer_quantum_error(dp_buffer_quantum_s)

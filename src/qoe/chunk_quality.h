@@ -32,13 +32,28 @@ inline double stall_penalty(double stall_s, const ChunkQualityParams& p = ChunkQ
   return stall_s / (1.0 + p.rebuf_saturation * stall_s);
 }
 
+// chunk_quality in its two evaluation steps, for callers that share the
+// first across several previous chunks (ViPlanner scores one stalled
+// download against every previous level): the stall-penalized visual
+// quality, then the switch penalty and the floor. Composing them is
+// chunk_quality, bit for bit.
+inline double stall_penalized_quality(double visual_quality, double stall_s,
+                                      const ChunkQualityParams& p = ChunkQualityParams()) {
+  return visual_quality - p.beta_rebuf * stall_penalty(stall_s, p);
+}
+inline double with_switch_penalty(double stall_penalized, double visual_quality,
+                                  double prev_visual_quality,
+                                  const ChunkQualityParams& p = ChunkQualityParams()) {
+  return std::max(p.floor,
+                  stall_penalized - p.beta_switch * std::abs(visual_quality - prev_visual_quality));
+}
+
 // Quality contribution of a chunk given its visual quality, the stall before
 // it, and the previous chunk's visual quality (pass vq itself for chunk 0).
 inline double chunk_quality(double visual_quality, double stall_s, double prev_visual_quality,
                             const ChunkQualityParams& p = ChunkQualityParams()) {
-  double q = visual_quality - p.beta_rebuf * stall_penalty(stall_s, p) -
-             p.beta_switch * std::abs(visual_quality - prev_visual_quality);
-  return std::max(p.floor, q);
+  return with_switch_penalty(stall_penalized_quality(visual_quality, stall_s, p),
+                             visual_quality, prev_visual_quality, p);
 }
 
 // Per-chunk qualities written into a caller-provided buffer (cleared

@@ -8,8 +8,8 @@
 //    produces the speedup — must be bit-invisible: batched and unbatched
 //    decide() agree field-for-field, for vi and dp alike, per query and
 //    across whole multi-session event loops and thread counts;
-//  - the unbatched hot path must stop allocating at steady state, like the
-//    DP it sits beside.
+//  - the hot path, batched and unbatched, must stop allocating at steady
+//    state, like the DP it sits beside.
 #include "abr/planner.h"
 
 #include <gtest/gtest.h>
@@ -389,32 +389,54 @@ TEST(PlannerAccuracyGrid, MultisessionGridIdenticalAcrossThreads) {
   }
 }
 
+// One fixed sweep of 50 decides (buffers, chunks and last levels cycling)
+// for the steady-state allocation gates below.
+void steady_state_sweep(const media::EncodedVideo& video, ViPlanner& vi) {
+  GridCase c;
+  c.horizon = 5;
+  c.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
+  c.use_weights = true;
+  c.obs.video = &video;
+  c.obs.num_chunks = video.num_chunks();
+  c.obs.future_weights = {1.4, 0.8, 2.1, 1.0, 0.6};
+  c.scenarios = net::triangular_scenarios(8, 2400.0, 0.4);
+  for (int i = 0; i < 50; ++i) {
+    c.obs.buffer_s = 0.5 * static_cast<double>(i % 40);
+    c.obs.next_chunk = static_cast<size_t>(i % 20);
+    c.obs.last_level = static_cast<size_t>(i % 5);
+    PlanQuery q = make_query(c);
+    vi.plan(q);
+  }
+}
+
 // Unbatched vi decide() reuses its arenas: after one warm-up sweep reaches
 // the high-water mark, an identical sweep must not allocate another byte
 // (the zero-steady-state-allocation contract the DP already obeys).
 TEST_F(PlannerAccuracy, ViSteadyStateHotPathStopsAllocating) {
   ViPlanner vi;
-  GridCase c;
-  c.horizon = 5;
-  c.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
-  c.use_weights = true;
-  c.obs.video = &video_;
-  c.obs.num_chunks = video_.num_chunks();
-  c.obs.future_weights = {1.4, 0.8, 2.1, 1.0, 0.6};
-  c.scenarios = net::triangular_scenarios(8, 2400.0, 0.4);
-  auto sweep = [&] {
-    for (int i = 0; i < 50; ++i) {
-      c.obs.buffer_s = 0.5 * static_cast<double>(i % 40);
-      c.obs.next_chunk = static_cast<size_t>(i % 20);
-      c.obs.last_level = static_cast<size_t>(i % 5);
-      PlanQuery q = make_query(c);
-      vi.plan(q);
-    }
-  };
-  sweep();
+  steady_state_sweep(video_, vi);
   size_t warm = vi.arena_bytes();
-  sweep();
+  steady_state_sweep(video_, vi);
   EXPECT_EQ(vi.arena_bytes(), warm);
+}
+
+// The same contract with a PlanBatch attached: the warm sweep created every
+// shared table the grid needs, so a repeat is pure cache hits — no new
+// table, no table or hash growth, and no planner arena growth (its fill_row
+// scratch rows included).
+TEST_F(PlannerAccuracy, ViBatchedSteadyStateHotPathStopsAllocating) {
+  PlanBatch batch;
+  ViPlanner vi;
+  vi.set_batch(&batch);
+  steady_state_sweep(video_, vi);
+  const size_t tables = batch.num_vi_tables();
+  const size_t table_bytes = batch.table_bytes();
+  const size_t arena = vi.arena_bytes();
+  EXPECT_GT(tables, 0u);
+  steady_state_sweep(video_, vi);
+  EXPECT_EQ(batch.num_vi_tables(), tables);
+  EXPECT_EQ(batch.table_bytes(), table_bytes);
+  EXPECT_EQ(vi.arena_bytes(), arena);
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "abr/fugu.h"
 #include "core/experiments.h"
@@ -356,6 +359,38 @@ TEST(BufferBucket, EdgeCases) {
     for (uint64_t k = 1; k <= 120; ++k) {
       EXPECT_EQ(buffer_bucket(static_cast<double>(k) * quantum, quantum), k)
           << "k=" << k << " quantum=" << quantum;
+    }
+  }
+}
+
+// buffer_bucket rounds inline instead of calling std::llround; it must
+// still equal llround(b / q) on every positive input. A seeded sweep over
+// the buffer range covers the common path. The edges are where a floor or a
+// bare truncation would split a bucket: the exact half points (k + 0.5) * q
+// and their nextafter neighbours, and the largest double below one half.
+// Ratios at and past 2^63 (1e300, +inf, the neighbours of 2^63 itself)
+// exercise the switch to the llround fallback.
+TEST(BufferBucket, MatchesLlroundAcrossQuanta) {
+  const double inf = std::numeric_limits<double>::infinity();
+  util::Rng rng(0xb0c4e7);
+  for (double q : {1e-3, 0.25, 0.3, 1.5, 2.0, 16.0}) {
+    std::vector<double> inputs;
+    for (int i = 0; i < 20000; ++i) inputs.push_back(rng.uniform(0.0, 30.0));
+    for (uint64_t k = 0; (static_cast<double>(k) + 0.5) * q <= 30.0; ++k) {
+      const double half = (static_cast<double>(k) + 0.5) * q;
+      inputs.push_back(half);
+      inputs.push_back(std::nextafter(half, 0.0));
+      inputs.push_back(std::nextafter(half, inf));
+    }
+    inputs.push_back(0.49999999999999994 * q);
+    inputs.push_back(std::nextafter(0x1p63, 0.0) * q);
+    inputs.push_back(0x1p63 * q);
+    inputs.push_back(1e300);
+    inputs.push_back(inf);
+    for (double b : inputs) {
+      if (!(b > 0.0)) continue;  // the floor bucket is EdgeCases' job
+      ASSERT_EQ(buffer_bucket(b, q), static_cast<uint64_t>(std::llround(b / q)))
+          << "b=" << b << " q=" << q;
     }
   }
 }
