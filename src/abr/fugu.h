@@ -9,9 +9,10 @@
 // added by SENSEI-Fugu in src/core; this class keeps the vanilla objective.
 //
 // The lookahead itself is delegated to abr::Planner (src/abr/planner.h):
-// the memoized DpPlanner by default, or the reference ExhaustivePlanner
-// behind `FuguConfig::planner` — both return identical decisions (see
-// tests/test_planner_equivalence.cpp); the DP is simply much faster.
+// the exact branch-and-bound DpPlanner by default, or the reference
+// ExhaustivePlanner behind `FuguConfig::planner` — both return identical
+// decisions (see tests/test_planner_equivalence.cpp); the DP is simply much
+// faster. The discretized ViPlanner is the lossy fleet-scale alternative.
 #pragma once
 
 #include "abr/planner.h"
@@ -40,16 +41,15 @@ struct FuguConfig {
   // stall risk often enough that an un-gated rebuffer action loses QoE.
   double rebuffer_margin = 0.35;
   // Which lookahead engine realizes the objective. kDp (default) is the
-  // memoized dynamic program; kExhaustive is the reference recursion; kVi
-  // is the discretized value iteration — lossy but an order of magnitude
+  // exact branch and bound; kExhaustive is the reference recursion; kVi is
+  // the discretized value iteration — lossy but an order of magnitude
   // faster, the fleet-scale mode (see planner.h).
   PlannerKind planner = PlannerKind::kDp;
-  // Buffer discretization in seconds, interpreted per planner. kDp: state
-  // merging quantum — 0 (default) merges only bit-identical states,
-  // guaranteeing decisions identical to the exhaustive planner; > 0 enables
-  // Puffer-style lossy bucketing (unit_buf_length). kVi: the value-table
-  // bucket width — 0 selects kDefaultViBufferQuantumS. Negative values and
-  // values in (0, kMinBufferQuantumS) are rejected: make_planner throws.
+  // ViPlanner's value-table bucket width in seconds (Puffer's
+  // unit_buf_length); 0 (default) selects kDefaultViBufferQuantumS. Only kVi
+  // reads it: the exact kDp has no quantum and make_planner rejects any
+  // nonzero value for it, and kExhaustive ignores it. Negative values and
+  // values in (0, kMinBufferQuantumS) are rejected for every planner.
   double dp_buffer_quantum_s = 0.0;
 };
 

@@ -28,12 +28,6 @@ inline uint64_t splitmix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-inline uint64_t bits_of(double v) {
-  uint64_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
-
 }  // namespace
 
 bool degenerate_plan(const PlanQuery& q, PlanResult* out) {
@@ -304,31 +298,11 @@ double ExhaustivePlanner::walk(const PlanQuery& q, size_t depth, size_t chunk,
 // DpPlanner
 // ---------------------------------------------------------------------------
 
-DpPlanner::DpPlanner(double buffer_quantum_s) : quantum_(buffer_quantum_s) {}
-
 size_t DpPlanner::arena_bytes() const {
-  size_t b = 0;
-  for (int i = 0; i < 2; ++i) {
-    b += bufs_[i].capacity() * sizeof(double);
-    b += recs_[i].capacity() * sizeof(StateRec);
-  }
-  b += (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() +
-        w_.capacity() + root_qn_.capacity() + root_eqn_.capacity() + h_.capacity() +
-        child_buf_.capacity() + rollout_[0].capacity() + rollout_[1].capacity()) *
-       sizeof(double);
-  b += child_key_.capacity() * sizeof(uint64_t) + path_.capacity() * sizeof(uint32_t);
-  b += stamp_.capacity() * sizeof(uint64_t) + slot_.capacity() * sizeof(uint32_t);
-  return b;
-}
-
-void DpPlanner::ensure_hash_capacity(size_t min_slots) {
-  size_t want = 64;
-  while (want < min_slots) want <<= 1;
-  if (stamp_.size() < want) {
-    stamp_.assign(want, 0);
-    slot_.assign(want, 0);
-    round_ = 0;  // fresh stamps are all 0; rounds restart above it
-  }
+  return (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() +
+          w_.capacity() + h_.capacity() + buf_.capacity()) *
+             sizeof(double) +
+         path_.capacity() * sizeof(uint32_t);
 }
 
 // Fills the per-decision tables. Every expression mirrors the exhaustive
@@ -345,10 +319,7 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   qn_.resize(depth_count * L * L);
   eqn_.resize(depth_count * L * L);
   w_.resize(depth_count);
-  root_qn_.resize(L);
-  root_eqn_.resize(L);
-  child_buf_.resize(S);
-  child_key_.resize(S);
+  buf_.resize((depth_count + 1) * S);
 
   // Static tables come from the shared batch when one is attached; the
   // expressions below are the exact ones the batch builder ran (same
@@ -384,20 +355,18 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
     }
   }
 
-  for (size_t l = 0; l < L; ++l) {
-    double qn = qoe::chunk_quality(vq_[l], 0.0, q.prev_visual_quality, q.chunk);
-    double eqn = 0.0;
-    for (size_t s = 0; s < S; ++s) eqn += q.scenarios[s].probability * qn;
-    root_qn_[l] = qn;
-    root_eqn_[l] = eqn;
-  }
-  for (size_t d = 1; d < depth_count; ++d) {
+  for (size_t d = 0; d < depth_count; ++d) {
     const size_t chunk = base + d;
     for (size_t l = 0; l < L; ++l) {
       for (size_t p = 0; p < L; ++p) {
-        double qn = vt != nullptr
-                        ? vt->qn[(chunk * L + l) * L + p]
-                        : qoe::chunk_quality(vq_[d * L + l], 0.0, vq_[(d - 1) * L + p], q.chunk);
+        double qn;
+        if (d == 0) {
+          qn = qoe::chunk_quality(vq_[l], 0.0, q.prev_visual_quality, q.chunk);
+        } else {
+          qn = vt != nullptr
+                   ? vt->qn[(chunk * L + l) * L + p]
+                   : qoe::chunk_quality(vq_[d * L + l], 0.0, vq_[(d - 1) * L + p], q.chunk);
+        }
         double eqn = 0.0;
         for (size_t s = 0; s < S; ++s) eqn += q.scenarios[s].probability * qn;
         qn_[(d * L + l) * L + p] = qn;
@@ -424,315 +393,156 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   }
 }
 
+// Same dynamics and fold order as the exhaustive walk; the no-stall quality
+// is served from the tables.
+double DpPlanner::step(size_t d, size_t level, size_t prev, double sched) {
+  const PlanQuery& q = *q_;
+  const size_t L = L_, S = S_;
+  const double prev_vq = d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + prev];
+  const double qn = qn_[(d * L + level) * L + prev];
+  const double* dl_row = &dl_[(d * L + level) * S];
+  const double vq = vq_[d * L + level];
+  const double* in = &buf_[d * S];
+  double* out = &buf_[(d + 1) * S];
+  double expected_q = 0.0;
+  for (size_t s = 0; s < S; ++s) {
+    double b = in[s];
+    double dl = dl_row[s];
+    double stall = 0.0;
+    if (dl > b) {
+      stall = dl - b;
+      b = 0.0;
+    } else {
+      b -= dl;
+    }
+    if (sched > 0.0) {
+      b += sched;
+      stall += sched;
+    }
+    b = std::min(b + tau_, kMaxBufferS);
+    out[s] = b;
+    double qv = stall > 0.0 ? qoe::chunk_quality(vq, stall, prev_vq, q.chunk) : qn;
+    expected_q += q.scenarios[s].probability * qv;
+  }
+  return weighted_step_quality(w_[d], expected_q, eqn_[(d * L + level) * L + prev]);
+}
+
+// (max value, min rank) fold reproduces "first strictly-better leaf wins"
+// of the depth-first reference: the search visits leaves in rank order, and
+// the rank settles ties against the rollout seeds folded before it.
+void DpPlanner::fold_leaf(double value, uint64_t rank) {
+  if (value > result_.best_value || (value == result_.best_value && rank < best_rank_)) {
+    result_.best_value = value;
+    result_.best_level = first_level_;
+    result_.best_rebuffer_s = q_->rebuffer_options[first_sched_];
+    best_rank_ = rank;
+  }
+  if (first_ns_ && (value > result_.nostall_value ||
+                    (value == result_.nostall_value && rank < best_ns_rank_))) {
+    result_.nostall_value = value;
+    result_.nostall_level = first_level_;
+    best_ns_rank_ = rank;
+  }
+}
+
+void DpPlanner::fold_rollout() {
+  first_level_ = path_[0];
+  first_sched_ = 0;
+  first_ns_ = q_->rebuffer_options[0] == 0.0;
+  double value = 0.0;
+  uint64_t rank = 0;
+  for (size_t d = 0; d < D_; ++d) {
+    const size_t options = d == 0 ? q_->num_rebuffer_options : 1;
+    const size_t prev = d == 0 ? 0 : path_[d - 1];
+    const double sched = d == 0 ? q_->rebuffer_options[0] : 0.0;
+    value = value + step(d, path_[d], prev, sched);
+    rank = rank * static_cast<uint64_t>(L_ * options) +
+           static_cast<uint64_t>(path_[d] * options);
+  }
+  fold_leaf(value, rank);
+}
+
+void DpPlanner::search(size_t d, size_t prev, double value, uint64_t rank) {
+  const bool root = d == 0;
+  const bool leaf = d + 1 == D_;
+  const size_t options = root ? q_->num_rebuffer_options : 1;
+  for (size_t level = 0; level < L_; ++level) {
+    const double eqn = eqn_[(d * L_ + level) * L_ + prev];
+    const double hb = (leaf ? 0.0 : h_[(d + 1) * L_ + level]) + kBoundSlack;
+    // Pre-dynamics prune: w * eqn upper-bounds the step contribution, so a
+    // hopeless action is rejected before its scenario loop runs.
+    const double ub = value + w_[d] * eqn + hb;
+    for (size_t si = 0; si < options; ++si) {
+      const double sched = root ? q_->rebuffer_options[si] : 0.0;
+      if (root) {
+        first_level_ = level;
+        first_sched_ = si;
+        first_ns_ = sched == 0.0;
+      }
+      if (prune_ok_ && !(ub >= incumbent())) continue;
+      const double child = value + step(d, level, prev, sched);
+      const uint64_t child_rank = rank * static_cast<uint64_t>(L_ * options) +
+                                  static_cast<uint64_t>(level * options + si);
+      if (leaf) {
+        fold_leaf(child, child_rank);
+        continue;
+      }
+      // Post-dynamics prune, tighter than the pre-check: drop the subtree
+      // when even a stall-free completion of the *actual* prefix value
+      // cannot reach the incumbent.
+      if (prune_ok_ && !(child + hb >= incumbent())) continue;
+      search(d + 1, level, child, child_rank);
+    }
+  }
+}
+
 PlanResult DpPlanner::plan(const PlanQuery& q) {
+  PlanResult degenerate;
+  if (degenerate_plan(q, &degenerate)) return degenerate;
   const auto& video = *q.obs->video;
-  const size_t L = video.ladder().level_count();
-  const size_t S = q.num_scenarios;
-  const double tau = video.chunk_duration_s();
-  const size_t remaining =
-      q.obs->next_chunk < q.obs->num_chunks ? q.obs->num_chunks - q.obs->next_chunk : 0;
-  const size_t D = std::min(q.horizon, remaining);
+  q_ = &q;
+  L_ = video.ladder().level_count();
+  S_ = q.num_scenarios;
+  tau_ = video.chunk_duration_s();
+  D_ = std::min(q.horizon, q.obs->num_chunks - q.obs->next_chunk);
+  precompute(q, D_);
 
-  PlanResult result;
-  if (degenerate_plan(q, &result)) return result;
-  precompute(q, D);
-
-  uint64_t best_rank = kNoRank;
-  uint64_t best_ns_rank = kNoRank;
-
+  result_ = PlanResult{};
+  best_rank_ = kNoRank;
+  best_ns_rank_ = kNoRank;
   // Pruning with the stall-free bound is only sound when the stall penalty
   // actually penalizes (the default and every sane configuration).
-  const bool prune_ok = q.chunk.beta_rebuf >= 0.0 && q.chunk.rebuf_saturation >= 0.0;
-
-  // Advances every scenario one step (same dynamics and fold order as the
-  // exhaustive walk; no-stall quality served from the tables) and returns
-  // the expected quality. Writes the post-step buffers to `out`.
-  const auto step_expected_q = [&](size_t d, size_t level, double prev_vq_val, double qn,
-                                   double sched, const double* in, double* out) {
-    const double* dl_row = &dl_[(d * L + level) * S];
-    const double vq = vq_[d * L + level];
-    double expected_q = 0.0;
-    for (size_t s = 0; s < S; ++s) {
-      double b = in[s];
-      double dl = dl_row[s];
-      double stall = 0.0;
-      if (dl > b) {
-        stall = dl - b;
-        b = 0.0;
-      } else {
-        b -= dl;
-      }
-      if (sched > 0.0) {
-        b += sched;
-        stall += sched;
-      }
-      b = std::min(b + tau, kMaxBufferS);
-      out[s] = b;
-      double qv = stall > 0.0 ? qoe::chunk_quality(vq, stall, prev_vq_val, q.chunk) : qn;
-      expected_q += q.scenarios[s].probability * qv;
-    }
-    return expected_q;
-  };
-
-  // (max value, min rank) fold reproduces "first strictly-better leaf wins"
-  // of the depth-first reference.
-  const auto fold_leaf = [&](const StateRec& cand) {
-    if (cand.value > result.best_value ||
-        (cand.value == result.best_value && cand.rank < best_rank)) {
-      result.best_value = cand.value;
-      result.best_level = cand.first_level;
-      result.best_rebuffer_s = q.rebuffer_options[cand.first_sched];
-      best_rank = cand.rank;
-    }
-    if (cand.ns_rank != kNoRank &&
-        (cand.ns_value > result.nostall_value ||
-         (cand.ns_value == result.nostall_value && cand.ns_rank < best_ns_rank))) {
-      result.nostall_value = cand.ns_value;
-      result.nostall_level = cand.ns_level;
-      best_ns_rank = cand.ns_rank;
-    }
-  };
-
-  // Evaluates one concrete level path (first action uses rebuffer option 0)
-  // through the true dynamics and folds it as an exact incumbent leaf. The
-  // stronger the incumbent, the harder the bound prunes.
-  const auto fold_rollout = [&](const uint32_t* path) {
-    rollout_[0].assign(S, q.obs->buffer_s);
-    rollout_[1].resize(S);
-    double val = 0.0;
-    uint64_t rank = 0;
-    for (size_t d = 0; d < D; ++d) {
-      const size_t level = path[d];
-      const size_t stall_count = d == 0 ? q.num_rebuffer_options : 1;
-      const double sched = d == 0 ? q.rebuffer_options[0] : 0.0;
-      const size_t prev = d == 0 ? 0 : path[d - 1];
-      const double prev_vq_val =
-          d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + prev];
-      const double qn = d == 0 ? root_qn_[level] : qn_[(d * L + level) * L + prev];
-      const double eqn = d == 0 ? root_eqn_[level] : eqn_[(d * L + level) * L + prev];
-      double expected_q = step_expected_q(d, level, prev_vq_val, qn, sched,
-                                          rollout_[d % 2].data(), rollout_[1 - d % 2].data());
-      val = val + weighted_step_quality(w_[d], expected_q, eqn);
-      rank = rank * static_cast<uint64_t>(L * stall_count) +
-             static_cast<uint64_t>(level * stall_count);
-    }
-    StateRec leaf;
-    leaf.value = val;
-    leaf.rank = rank;
-    leaf.first_level = path[0];
-    leaf.first_sched = 0;
-    if (q.rebuffer_options[0] == 0.0) {
-      leaf.ns_value = val;
-      leaf.ns_rank = rank;
-      leaf.ns_level = path[0];
-    } else {
-      leaf.ns_rank = kNoRank;
-    }
-    fold_leaf(leaf);
-  };
+  prune_ok_ = q.chunk.beta_rebuf >= 0.0 && q.chunk.rebuf_saturation >= 0.0;
+  std::fill(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(S_), q.obs->buffer_s);
 
   // Seed incumbents: for every first level, greedily follow the argmax path
   // of the stall-free bound; plus the all-lowest-level path, which is close
   // to optimal exactly where the stall-free relaxation is loose (tight
   // links). All are real leaves, so folding them is always sound.
-  if (q.num_rebuffer_options > 0) {
-    path_.resize(D);
-    for (size_t l0 = 0; l0 < L; ++l0) {
-      path_[0] = static_cast<uint32_t>(l0);
-      for (size_t d = 1; d < D; ++d) {
-        const size_t prev = path_[d - 1];
-        double best = -1e18;
-        size_t arg = 0;
-        for (size_t l = 0; l < L; ++l) {
-          double v = w_[d] * eqn_[(d * L + l) * L + prev] + h_[(d + 1) * L + l];
-          if (v > best) {
-            best = v;
-            arg = l;
-          }
+  path_.resize(D_);
+  for (size_t l0 = 0; l0 < L_; ++l0) {
+    path_[0] = static_cast<uint32_t>(l0);
+    for (size_t d = 1; d < D_; ++d) {
+      const size_t prev = path_[d - 1];
+      double best = -1e18;
+      size_t arg = 0;
+      for (size_t l = 0; l < L_; ++l) {
+        double v = w_[d] * eqn_[(d * L_ + l) * L_ + prev] + h_[(d + 1) * L_ + l];
+        if (v > best) {
+          best = v;
+          arg = l;
         }
-        path_[d] = static_cast<uint32_t>(arg);
       }
-      fold_rollout(path_.data());
+      path_[d] = static_cast<uint32_t>(arg);
     }
-    std::fill(path_.begin(), path_.end(), 0u);
-    fold_rollout(path_.data());
+    fold_rollout();
   }
+  std::fill(path_.begin(), path_.end(), 0u);
+  fold_rollout();
 
-  // Root: one state, all scenarios at the observed buffer level.
-  size_t cur = 0;
-  bufs_[cur].assign(S, q.obs->buffer_s);
-  recs_[cur].assign(1, StateRec{});
-
-  const auto key_of = [this](double v) -> uint64_t {
-    if (quantum_ > 0.0) return buffer_bucket(v, quantum_);
-    return bits_of(v);
-  };
-
-  for (size_t d = 0; d < D; ++d) {
-    const size_t nxt = 1 - cur;
-    const size_t stall_count = d == 0 ? q.num_rebuffer_options : 1;
-    const uint64_t branch = static_cast<uint64_t>(L * stall_count);
-    const size_t parent_count = recs_[cur].size();
-    const bool leaf_depth = d + 1 == D;
-
-    size_t mask = 0;
-    if (!leaf_depth) {
-      recs_[nxt].clear();
-      bufs_[nxt].clear();
-      // Worst case every child is distinct; saturate the estimate so a long
-      // horizon cannot demand an absurd table up front (load-factor growth
-      // below handles the real count).
-      size_t projected = parent_count * L * stall_count;
-      ensure_hash_capacity(2 * std::min<size_t>(projected, size_t{1} << 20));
-      ++round_;
-      mask = stamp_.size() - 1;
-    }
-
-    const auto insert_or_merge = [&](const StateRec& cand) {
-      for (size_t s = 0; s < S; ++s) child_key_[s] = key_of(child_buf_[s]);
-      uint64_t h = splitmix(cand.last_level + 0x9e37ull);
-      for (size_t s = 0; s < S; ++s) h = splitmix(h ^ child_key_[s]);
-      size_t i = static_cast<size_t>(h) & mask;
-      while (stamp_[i] == round_) {
-        StateRec& ex = recs_[nxt][slot_[i]];
-        bool same = ex.last_level == cand.last_level;
-        if (same) {
-          const double* eb = &bufs_[nxt][static_cast<size_t>(slot_[i]) * S];
-          for (size_t s = 0; s < S; ++s) {
-            if (key_of(eb[s]) != child_key_[s]) {
-              same = false;
-              break;
-            }
-          }
-        }
-        if (same) {
-          // Identical continuation: keep the better prefix. Ranks encode the
-          // exhaustive walk's leaf visit order, so ties break identically.
-          if (cand.value > ex.value || (cand.value == ex.value && cand.rank < ex.rank)) {
-            ex.value = cand.value;
-            ex.rank = cand.rank;
-            ex.first_level = cand.first_level;
-            ex.first_sched = cand.first_sched;
-          }
-          if (cand.ns_rank != kNoRank &&
-              (ex.ns_rank == kNoRank || cand.ns_value > ex.ns_value ||
-               (cand.ns_value == ex.ns_value && cand.ns_rank < ex.ns_rank))) {
-            ex.ns_value = cand.ns_value;
-            ex.ns_rank = cand.ns_rank;
-            ex.ns_level = cand.ns_level;
-          }
-          return;
-        }
-        i = (i + 1) & mask;
-      }
-      // Fresh state: append to the arena and claim the slot.
-      stamp_[i] = round_;
-      slot_[i] = static_cast<uint32_t>(recs_[nxt].size());
-      recs_[nxt].push_back(cand);
-      bufs_[nxt].insert(bufs_[nxt].end(), child_buf_.begin(), child_buf_.end());
-
-      // Grow + rehash when half full so probes stay short. Steady state
-      // re-uses the high-water table with no allocation.
-      if (2 * recs_[nxt].size() >= stamp_.size()) {
-        ensure_hash_capacity(2 * stamp_.size());
-        ++round_;
-        mask = stamp_.size() - 1;
-        for (size_t r = 0; r < recs_[nxt].size(); ++r) {
-          const StateRec& rec = recs_[nxt][r];
-          const double* rb = &bufs_[nxt][r * S];
-          uint64_t rh = splitmix(rec.last_level + 0x9e37ull);
-          for (size_t s = 0; s < S; ++s) rh = splitmix(rh ^ key_of(rb[s]));
-          size_t j = static_cast<size_t>(rh) & mask;
-          while (stamp_[j] == round_) j = (j + 1) & mask;
-          stamp_[j] = round_;
-          slot_[j] = static_cast<uint32_t>(r);
-        }
-      }
-    };
-
-    for (size_t pi = 0; pi < parent_count; ++pi) {
-      const StateRec parent = recs_[cur][pi];  // by value: arena may reallocate
-      const double* pb = &bufs_[cur][pi * S];
-      const double prev_vq =
-          d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + parent.last_level];
-
-      for (size_t level = 0; level < L; ++level) {
-        const double qn =
-            d == 0 ? root_qn_[level] : qn_[(d * L + level) * L + parent.last_level];
-        const double eqn =
-            d == 0 ? root_eqn_[level] : eqn_[(d * L + level) * L + parent.last_level];
-        const double hb =
-            (leaf_depth ? 0.0 : h_[(d + 1) * L + level]) + kBoundSlack;
-        // Pre-dynamics prune: w * eqn upper-bounds the step contribution,
-        // so a hopeless action is rejected before its scenario loop runs.
-        const double ub = parent.value + w_[d] * eqn + hb;
-        const double ns_ub = parent.ns_value + w_[d] * eqn + hb;
-
-        for (size_t si = 0; si < stall_count; ++si) {
-          const double scheduled = d == 0 ? q.rebuffer_options[si] : 0.0;
-          if (prune_ok) {
-            bool useful = ub >= result.best_value;
-            if (!useful) {
-              const bool has_ns =
-                  d == 0 ? scheduled == 0.0 : parent.ns_rank != kNoRank;
-              useful = has_ns && ns_ub >= result.nostall_value;
-            }
-            if (!useful) continue;
-          }
-          const double expected_q =
-              step_expected_q(d, level, prev_vq, qn, scheduled, pb, child_buf_.data());
-          const double contribution = weighted_step_quality(w_[d], expected_q, eqn);
-
-          StateRec cand;
-          cand.last_level = static_cast<uint32_t>(level);
-          const uint64_t action = static_cast<uint64_t>(level * stall_count + si);
-          if (d == 0) {
-            cand.value = contribution;  // parent value is 0 at the root
-            cand.rank = action;
-            cand.first_level = static_cast<uint32_t>(level);
-            cand.first_sched = static_cast<uint32_t>(si);
-            if (scheduled == 0.0) {
-              cand.ns_value = cand.value;
-              cand.ns_rank = cand.rank;
-              cand.ns_level = static_cast<uint32_t>(level);
-            } else {
-              cand.ns_rank = kNoRank;
-            }
-          } else {
-            cand.value = parent.value + contribution;
-            cand.rank = parent.rank * branch + action;
-            cand.first_level = parent.first_level;
-            cand.first_sched = parent.first_sched;
-            if (parent.ns_rank != kNoRank) {
-              cand.ns_value = parent.ns_value + contribution;
-              cand.ns_rank = parent.ns_rank * branch + action;
-              cand.ns_level = parent.ns_level;
-            } else {
-              cand.ns_rank = kNoRank;
-            }
-          }
-          if (leaf_depth) {
-            fold_leaf(cand);
-            continue;
-          }
-
-          // Post-dynamics prune, tighter than the pre-check: drop the state
-          // when even a stall-free completion of the *actual* prefix value
-          // cannot strictly beat the incumbents.
-          if (prune_ok) {
-            bool useful = cand.value + hb >= result.best_value;
-            if (!useful && cand.ns_rank != kNoRank) {
-              useful = cand.ns_value + hb >= result.nostall_value;
-            }
-            if (!useful) continue;
-          }
-          insert_or_merge(cand);
-        }
-      }
-    }
-    if (!leaf_depth) cur = nxt;
-  }
-  return result;
+  search(0, 0, 0.0, 0);
+  q_ = nullptr;
+  return result_;
 }
 
 // ---------------------------------------------------------------------------
@@ -1061,7 +871,11 @@ const char* buffer_quantum_error(double quantum_s) {
 }
 
 std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s) {
-  if (const char* why = buffer_quantum_error(dp_buffer_quantum_s)) {
+  const char* why = buffer_quantum_error(dp_buffer_quantum_s);
+  if (why == nullptr && kind == PlannerKind::kDp && dp_buffer_quantum_s != 0.0) {
+    why = "must be 0 for the exact planner=dp (bucketed planning is planner=vi)";
+  }
+  if (why != nullptr) {
     char value[32];
     std::snprintf(value, sizeof(value), "%g", dp_buffer_quantum_s);
     throw std::invalid_argument(std::string("make_planner: dp_buffer_quantum_s ") + why +
@@ -1074,7 +888,7 @@ std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum
       return std::make_unique<ViPlanner>(dp_buffer_quantum_s);
     case PlannerKind::kDp:
     default:
-      return std::make_unique<DpPlanner>(dp_buffer_quantum_s);
+      return std::make_unique<DpPlanner>();
   }
 }
 

@@ -10,31 +10,27 @@
 //    heap-allocated per-scenario state vector at every node. Exponential in
 //    the horizon; kept as the equivalence baseline behind a config flag.
 //
-//  - DpPlanner is the production planner: a breadth-first dynamic program
-//    over the *reachable* joint states (last level, per-scenario buffers),
-//    in the style of Puffer's value iteration (Yan et al., NSDI'20) —
-//    round-stamped flat hash slots instead of per-decision clearing, a
-//    fixed-capacity arena reused across decide() calls (zero steady-state
-//    heap allocation), and per-(depth, level) download-time / quality tables
-//    precomputed once per decision instead of at every tree node. States
-//    that coincide (exactly, or within `buffer_quantum_s` buckets when > 0)
-//    are merged, which collapses the tree wherever the buffer saturates at
-//    its floor or cap. On top of the merge, an admissible bound prunes the
-//    fan-out: the stall-free relaxation H(d, level) — a tiny L x horizon
-//    value iteration over the precomputed quality tables — upper-bounds any
-//    continuation, and a greedy rollout of its argmax path seeds an exact
-//    incumbent; a state is dropped when value + H cannot *strictly* beat
-//    the incumbent (ties are kept, so the depth-first tie-break of the
-//    reference planner is preserved bit-for-bit).
+//  - DpPlanner is the exact production planner: the same depth-first walk
+//    in the same (level-major, then rebuffer option) order, turned into a
+//    branch and bound in the style of Puffer's production MPC (Yan et al.,
+//    NSDI'20). Per-(depth, level) download-time and quality tables are
+//    precomputed once per decision instead of at every tree node, and the
+//    per-scenario buffers live in one (horizon + 1) x scenarios slab reused
+//    across decide() calls (zero steady-state heap allocation). An
+//    admissible bound prunes the tree: the stall-free relaxation
+//    H(d, level), a tiny L x horizon value iteration over the precomputed
+//    quality tables, upper-bounds any continuation, and greedy rollouts of
+//    its argmax paths seed exact incumbents before the search starts. A
+//    subtree is dropped only when value + H cannot reach the incumbent even
+//    as a tie (ties are kept).
 //
-// With buffer_quantum_s == 0 (the default) merging only unifies bitwise-
-// identical states, and every arithmetic expression mirrors the exhaustive
-// recursion operation-for-operation, so the DP returns *bit-identical*
-// values and decisions — the equivalence gate in
-// tests/test_planner_equivalence.cpp asserts exactly that. A positive
-// quantum trades exactness for polynomially-bounded state growth
-// (Puffer's unit_buf_length), which is the right regime for horizons
-// beyond ~8 chunks.
+// Every path's value is the exhaustive walk's left-to-right sum, and every
+// arithmetic expression mirrors that recursion operation for operation, so
+// the leaves the search reaches carry bit-identical values; folding them by
+// (value, visit rank) reproduces the reference's "first strictly better
+// leaf wins" tie-break. The DP therefore returns *bit-identical* values and
+// decisions, which tests/test_planner_equivalence.cpp asserts. It has no
+// buffer quantum: the lossy, bounded-state regime is ViPlanner's.
 //
 //  - ViPlanner is the throughput planner: Puffer's discretized value
 //    iteration (Yan et al., NSDI'20), taken further on three axes.
@@ -79,14 +75,10 @@
 namespace sensei::abr {
 
 enum class PlannerKind {
-  kDp,          // memoized reachable-state DP (default)
+  kDp,          // exact branch-and-bound lookahead (default)
   kExhaustive,  // reference exhaustive recursion
   kVi,          // discretized value iteration (Puffer-style, lossy)
 };
-
-// Default buffer discretization for DpPlanner state merging (seconds).
-// 0 = exact (bitwise) merging.
-inline constexpr double kDefaultDpBufferQuantumS = 0.0;
 
 // Default buffer bucket width for ViPlanner (Puffer's UNIT_BUF_LENGTH) at
 // the first lookahead step; the width doubles with each deeper step.
@@ -94,12 +86,12 @@ inline constexpr double kDefaultViBufferQuantumS = 2.0;
 
 // Smallest nonzero buffer quantum make_planner accepts. Below it vi's value
 // table (30 s / quantum buckets per depth) outgrows memory and the bucket
-// index llround(30 / quantum) leaves the integer range. dp reads the same
-// config key, so it takes the same floor; its exact mode is 0.
+// index llround(30 / quantum) leaves the integer range. DpPlanner is exact
+// and takes no quantum: make_planner accepts only 0 for it.
 inline constexpr double kMinBufferQuantumS = 1e-3;
 
-// Why `quantum_s` is not an accepted dp/vi buffer quantum, or nullptr when
-// it is: 0 (the planner's default) or a value >= kMinBufferQuantumS.
+// Why `quantum_s` is not an accepted vi buffer quantum, or nullptr when it
+// is: 0 (the planner's default) or a value >= kMinBufferQuantumS.
 const char* buffer_quantum_error(double quantum_s);
 
 // Relative (log2-spaced) throughput discretization for ViPlanner's lookahead
@@ -330,65 +322,67 @@ class ExhaustivePlanner : public Planner {
 
 class DpPlanner : public Planner {
  public:
-  explicit DpPlanner(double buffer_quantum_s = 0.0);
-
   const char* name() const override { return "dp"; }
   PlanResult plan(const PlanQuery& query) override;
   void set_batch(PlanBatch* batch) override { batch_ = batch; }
 
-  // Bytes currently owned by the arenas/tables — exposed so tests and
-  // benches can assert the steady-state hot path stops allocating.
+  // Bytes currently owned by the tables and the buffer slab — exposed so
+  // tests and benches can assert the steady-state hot path stops allocating.
   size_t arena_bytes() const;
 
  private:
-  // Per-state bookkeeping. The state identity is (last_level, buffers);
-  // records carry the best prefix reaching the state, plus the best prefix
-  // whose first action scheduled no stall. Ranks encode the depth-first
-  // visit order of the exhaustive walk so ties resolve identically.
-  struct StateRec {
-    double value = 0.0;
-    double ns_value = 0.0;
-    uint64_t rank = 0;
-    uint64_t ns_rank = 0;  // kNoRank when no stall-free prefix reaches here
-    uint32_t first_level = 0;
-    uint32_t first_sched = 0;  // index into rebuffer_options
-    uint32_t ns_level = 0;
-    uint32_t last_level = 0;
-  };
   static constexpr uint64_t kNoRank = ~0ull;
 
   void precompute(const PlanQuery& q, size_t depth_count);
-  void ensure_hash_capacity(size_t min_slots);
+  // Expected weighted quality of playing `level` at depth d after `prev`
+  // with `sched` seconds of scheduled rebuffering; advances every scenario
+  // from slab row d into row d + 1.
+  double step(size_t d, size_t level, size_t prev, double sched);
+  // Searches depths [d, D) below a prefix of value `value` and visit rank
+  // `rank` whose last level is `prev` (unused at the root).
+  void search(size_t d, size_t prev, double value, uint64_t rank);
+  // Evaluates path_ (first action: rebuffer option 0) as an exact leaf.
+  void fold_rollout();
+  void fold_leaf(double value, uint64_t rank);
+  // The value a subtree must reach, as a tie at least, to be worth
+  // searching: the no-stall incumbent for paths whose first action
+  // schedules no stall (it never exceeds the overall one), else the overall.
+  double incumbent() const {
+    return first_ns_ ? result_.nostall_value : result_.best_value;
+  }
 
-  double quantum_;
   PlanBatch* batch_ = nullptr;
 
-  // Precomputed per-decision tables (indexed [depth][level][...]).
-  std::vector<double> dl_;       // expected download time per scenario
-  std::vector<double> vq_;       // visual quality
-  std::vector<double> qn_;       // no-stall chunk quality per prev level
-  std::vector<double> eqn_;      // probability-folded no-stall quality
-  std::vector<double> w_;        // per-depth sensitivity weight
-  std::vector<double> root_qn_;  // depth-0 no-stall quality per level
-  std::vector<double> root_eqn_;
+  // Per-decide context (set by plan(), read by the search).
+  const PlanQuery* q_ = nullptr;
+  size_t D_ = 0, L_ = 0, S_ = 0;
+  double tau_ = 0.0;
+  bool prune_ok_ = false;
+  PlanResult result_;
+  uint64_t best_rank_ = kNoRank;
+  uint64_t best_ns_rank_ = kNoRank;
+  // First action of the path being searched.
+  size_t first_level_ = 0;
+  size_t first_sched_ = 0;  // index into rebuffer_options
+  bool first_ns_ = false;   // its scheduled rebuffer is 0
+
+  // Precomputed per-decision tables (indexed [depth][level][...]). Depth 0
+  // rows of qn_/eqn_ hold the root quality (against the observed previous
+  // quality) for every prev.
+  std::vector<double> dl_;   // expected download time per scenario
+  std::vector<double> vq_;   // visual quality
+  std::vector<double> qn_;   // no-stall chunk quality per prev level
+  std::vector<double> eqn_;  // probability-folded no-stall quality
+  std::vector<double> w_;    // per-depth sensitivity weight
   // Stall-free relaxation bound: h_[d * L + p] is the best possible
   // contribution of depths [d, D) given the previous level is p, assuming
   // no scenario ever stalls. Admissible (stalls only lower quality).
   std::vector<double> h_;
 
-  // Double-buffered state arenas: buffers are [state][scenario] flat.
-  std::vector<double> bufs_[2];
-  std::vector<StateRec> recs_[2];
-  std::vector<double> child_buf_;     // scratch for one candidate child
-  std::vector<uint64_t> child_key_;   // quantized/bit keys of child_buf_
-  std::vector<uint32_t> path_;        // argmax path of the bound (incumbent)
-  std::vector<double> rollout_[2];    // incumbent rollout buffers
-
-  // Round-stamped open-addressing hash over next-depth states: a slot is
-  // live iff stamp_[i] == round_, so no clearing between depths/decisions.
-  std::vector<uint64_t> stamp_;
-  std::vector<uint32_t> slot_;
-  uint64_t round_ = 0;
+  // (D + 1) x S buffer slab: row d holds every scenario's buffer entering
+  // depth d of the path being searched (row 0: the observed buffer).
+  std::vector<double> buf_;
+  std::vector<uint32_t> path_;  // argmax path of the bound (incumbent seed)
 };
 
 // Puffer-style discretized value iteration (see the file header). The
@@ -495,7 +489,8 @@ class ViPlanner : public Planner {
 };
 
 // Throws std::invalid_argument when buffer_quantum_error(dp_buffer_quantum_s)
-// names a reason.
+// names a reason, or when kind is kDp and the quantum is not 0: the exact
+// planner has no buffer quantum (only kVi reads it; kExhaustive ignores it).
 std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s = 0.0);
 
 }  // namespace sensei::abr

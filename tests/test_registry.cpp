@@ -153,6 +153,13 @@ TEST(PolicyRegistry, RejectsUnknownVocabularyNamingAlternatives) {
   }
   EXPECT_NE(make_planner(PlannerKind::kVi, 1e-3), nullptr);
   EXPECT_NE(make_planner(PlannerKind::kDp, 0.0), nullptr);
+
+  // The exact dp planner takes no quantum: a valid one is still refused
+  // when the policy is built, naming the planner that reads it.
+  message = thrown_message([&] { registry.make("fugu:planner=dp,dp_buffer_quantum_s=0.25"); });
+  EXPECT_NE(message.find("planner=vi"), std::string::npos) << message;
+  EXPECT_THROW(registry.make("fugu:planner=dp,dp_buffer_quantum_s=0.25"), std::invalid_argument);
+  EXPECT_NE(registry.make("fugu:planner=vi,dp_buffer_quantum_s=0.25"), nullptr);
 }
 
 // ---- canonicalization -------------------------------------------------------
