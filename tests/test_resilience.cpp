@@ -277,6 +277,64 @@ TEST_F(ResilienceTest, RejectsNonsenseResilienceConfigs) {
   expect_throws(bad);
 }
 
+// A scripted fault plan (outage, collapse, RTT spike) against resilient
+// sessions contending on one shared link: timeouts abort shared transfers,
+// retries rejoin the link, and the budget runs out for some viewers. The
+// literals were captured from the build in which Simulator::run and the
+// fleet cell still ran separate event loops; any reordering of completions,
+// admissions or transitions inside an instant moves them.
+TEST_F(ResilienceTest, SharedFaultPlanRunMatchesPinnedSessions) {
+  net::ThroughputTrace trace("steady", std::vector<double>(60, 9000.0), 1.0);
+  net::FaultPlan plan;
+  plan.add(make_event(net::FaultKind::kOutage, 5.0, 15.0, 0.0));
+  plan.add(make_event(net::FaultKind::kCapacityCollapse, 30.0, 10.0, 0.2));
+  plan.add(make_event(net::FaultKind::kRttSpike, 40.0, 4.0, 0.5));
+
+  PlayerConfig config = resilient_config();
+  config.resilience.max_retries = 5;
+  config.resilience.backoff_jitter_frac = 0.2;
+  config.resilience.jitter_seed = 5;
+
+  const std::vector<std::string> kinds = {"bba", "rate_based", "fugu:planner=vi", "whittle",
+                                          "bba"};
+  const std::vector<double> starts = {0.0, 1.5, 3.0, 12.0, 19.0};
+  std::vector<std::unique_ptr<AbrPolicy>> policies;
+  std::vector<SessionSpec> specs;
+  for (size_t k = 0; k < kinds.size(); ++k) {
+    policies.push_back(abr::make_policy(kinds[k]));
+    SessionSpec spec;
+    spec.video = video_.get();
+    spec.policy = policies.back().get();
+    spec.start_s = starts[k];
+    if (k == 4) spec.chunk_limit = 8;
+    specs.push_back(spec);
+  }
+  auto results = Simulator(config).run(specs, trace, LinkMode::kShared, &plan);
+
+  struct Pin {
+    size_t chunks;
+    OutcomeCause cause;
+    double download_time_sum_s;
+  };
+  const std::vector<Pin> pins = {
+      {15u, OutcomeCause::kNone, 45.20901720466091},
+      {1u, OutcomeCause::kTimeoutBudget, 0.80253274785194095},
+      {15u, OutcomeCause::kNone, 78.146436426515834},
+      {12u, OutcomeCause::kTimeoutBudget, 49.854765717165982},
+      {8u, OutcomeCause::kAbandoned, 21.366149029012277},
+  };
+  ASSERT_EQ(results.size(), pins.size());
+  for (size_t k = 0; k < pins.size(); ++k) {
+    SCOPED_TRACE("session " + std::to_string(k));
+    const SessionResult& session = results[k].session;
+    double sum = 0.0;
+    for (const ChunkRecord& c : session.chunks()) sum += c.download_time_s;
+    EXPECT_EQ(session.chunks().size(), pins[k].chunks);
+    EXPECT_EQ(session.outcome_cause(), pins[k].cause);
+    EXPECT_EQ(sum, pins[k].download_time_sum_s);
+  }
+}
+
 // ---- SharedLink::abort ------------------------------------------------------
 
 TEST(SharedLinkAbort, FreezesGrantsAndRestoresFullCapacity) {
@@ -411,6 +469,25 @@ TEST_F(FleetResilienceTest, FaultsDisabledMatchesPinnedPreFaultBaseline) {
   }
   EXPECT_EQ(abandoned, agg.abandoned);
   EXPECT_EQ(completed + abandoned + agg.outages, agg.sessions);
+}
+
+// The faulty scenario's aggregates as literals. Thread/shard invariance
+// alone cannot see a loop that reorders failover against completions (every
+// worker would reorder alike); these pins can. Captured from the build in
+// which the fleet cell and Simulator::run still ran separate event loops.
+TEST_F(FleetResilienceTest, FaultyConfigMatchesPinnedAggregates) {
+  core::ExperimentRunner runner(1);
+  FleetAggregates agg = FleetSimulator(faulty_config()).run(video_ptrs_, runner);
+  EXPECT_EQ(agg.timeouts, 139u);
+  EXPECT_EQ(agg.retries, 139u);
+  EXPECT_EQ(agg.failovers, 33u);
+  EXPECT_EQ(agg.failed_cells, 3u);
+  EXPECT_EQ(agg.outages, 0u);
+  EXPECT_EQ(agg.timeout_outages, 0u);
+  EXPECT_EQ(agg.session_qoe.mean(), 0.59079369903046919);
+  EXPECT_EQ(agg.qoe_sketch.quantile(0.5), 0.60955540864339219);
+  EXPECT_EQ(agg.qoe_sketch.quantile(0.9), 0.81355630345686625);
+  EXPECT_EQ(agg.qoe_sketch.quantile(0.99), 0.86796316611924651);
 }
 
 TEST_F(FleetResilienceTest, FaultAggregatesBitIdenticalAcrossThreadsAndShards) {

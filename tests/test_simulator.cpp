@@ -15,6 +15,7 @@
 
 #include "abr/bba.h"
 #include "abr/fugu.h"
+#include "abr/registry.h"
 #include "bench_util.h"
 #include "core/experiments.h"
 #include "core/runner.h"
@@ -491,6 +492,43 @@ TEST(SimulatorContention, StaggeredArrivalsSeeLessContentionAtTheEdges) {
   double mid_goodput = first.timeline()->chunks()[6].goodput_kbps;
   EXPECT_LT(mid_goodput, 1100.0);
   EXPECT_GT(first_goodput, 2.0 * mid_goodput);
+}
+
+TEST(SimulatorContention, SpecOrderDoesNotChangeAnySession) {
+  // Sessions are admitted by (start_s, spec index), so listing the same
+  // viewers in reversed start order must hand every spec the identical
+  // session: the results vector follows spec order, nothing else moves.
+  auto video = media::Encoder().encode(
+      media::SourceVideo::generate("Permute", media::Genre::kSports, 60));
+  net::ThroughputTrace trace = net::TraceGenerator::cellular("perm-cell", 1100, 1800.0, 7);
+  const std::vector<std::string> kinds = {"bba",   "fugu:planner=vi", "rate_based",
+                                          "fugu",  "whittle",         "bba"};
+
+  auto run = [&](bool reversed) {
+    std::vector<std::unique_ptr<AbrPolicy>> policies;
+    std::vector<SessionSpec> specs;
+    for (size_t i = 0; i < kinds.size(); ++i) {
+      const size_t k = reversed ? kinds.size() - 1 - i : i;
+      policies.push_back(abr::make_policy(kinds[k]));
+      SessionSpec spec;
+      spec.video = &video;
+      spec.policy = policies.back().get();
+      spec.start_s = 1.3 * static_cast<double>(k);
+      specs.push_back(spec);
+    }
+    return Simulator().run(specs, trace, LinkMode::kShared);
+  };
+
+  auto in_order = run(false);
+  auto reversed = run(true);
+  ASSERT_EQ(in_order.size(), kinds.size());
+  ASSERT_EQ(reversed.size(), kinds.size());
+  for (size_t k = 0; k < kinds.size(); ++k) {
+    SCOPED_TRACE("session " + std::to_string(k));
+    const auto& mirror = reversed[kinds.size() - 1 - k];
+    EXPECT_EQ(in_order[k].start_s, mirror.start_s);
+    expect_sessions_identical(in_order[k].session, mirror.session);
+  }
 }
 
 // --- Experiments multi-session grid across runner threads -------------------
