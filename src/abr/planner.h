@@ -190,10 +190,11 @@ inline double weighted_step_quality(double w, double expected_q, double expected
 // Cross-session pool of the per-video planning tables that do not depend on
 // a session's predictor state: chunk sizes pre-scaled to the download-time
 // units the planners use, visual qualities, and the no-stall chunk quality
-// for every (chunk, level, previous level) triple. One sim::Simulator run
-// owns one PlanBatch and attaches it to every session's policy
-// (AbrPolicy::attach_plan_batch), so N concurrent Fugu sessions streaming
-// the same ladder build these tables once instead of N times per decision.
+// for every (chunk, level, previous level) triple. One sim::run_event_loop
+// run (a Simulator run or a fleet cell) owns one PlanBatch and attaches it
+// to every session's policy (AbrPolicy::attach_plan_batch), so N concurrent
+// Fugu sessions streaming the same ladder build these tables once instead
+// of N times per decision.
 // Tables are built lazily per (video, chunk-quality params) pair and the
 // planners read them through the exact expressions they would otherwise
 // compute locally, so batched and per-session decide() are bit-identical

@@ -27,10 +27,11 @@
 // the hot path and no allocation once the backing vectors reach the link's
 // peak concurrency.
 //
-// The link is a passive integrator: a driver (sim::Simulator) advances it
-// through time with advance_to(), never past next_completion_s(), and joins
-// transfers only at the link's current instant — which is exactly how the
-// event loop produces its times, so the contract costs the driver nothing.
+// The link is a passive integrator: a driver (sim::run_event_loop) advances
+// it through time with advance_to(), never past next_completion_s(), and
+// joins transfers only at the link's current instant — which is exactly how
+// the event loop produces its times, so the contract costs the driver
+// nothing.
 #pragma once
 
 #include <cstddef>
@@ -85,7 +86,9 @@ class SharedLink {
   // fault path, never the steady-state one.
   void abort(size_t id);
 
-  // Completions recorded since the last drain, in join (id) order.
+  // Completions recorded since the last drain. completions_sorted() orders
+  // them by transfer id. Without recycle_ids that is join order; with it, a
+  // later joiner can hold a lower (reused) id, so the order is by id only.
   struct Completion {
     size_t id = 0;
     double finish_s = 0.0;

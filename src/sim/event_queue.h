@@ -1,5 +1,5 @@
-// Indexed min-heap of per-session event times for the discrete-event loops
-// (sim::Simulator, sim::FleetSimulator).
+// Indexed min-heap of per-session event times for the discrete-event loop
+// (sim::run_event_loop, which sim::Simulator and sim::FleetSimulator drive).
 //
 // The PR 5 scheduler used a lazy std::priority_queue: every engine state
 // change pushed a fresh (time, index) entry and stale entries were skipped
@@ -30,28 +30,20 @@ class EventQueue {
  public:
   EventQueue() = default;
 
-  // Grows the index space to at least `n` sessions (absent from the heap
-  // until their first finite update). Never shrinks: fleet cells recycle
-  // session slots, so the space is bounded by peak concurrency.
-  void ensure_size(size_t n) {
-    if (times_.size() < n) {
-      times_.resize(n, kInfTime);
-      pos_.resize(n, kNone);
-    }
-  }
-
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
-
   // Time and index of the earliest event; min_time() is +infinity when the
   // heap is empty (min_index() is then unspecified).
   double min_time() const { return heap_.empty() ? kInfTime : times_[heap_[0]]; }
   size_t min_index() const { return heap_[0]; }
 
   // Sets session `idx`'s next event time, inserting, moving, or (+infinity)
-  // removing its slot as needed.
+  // removing its slot as needed. The index space grows to the largest
+  // index seen and never shrinks: fleet cells recycle session slots, so it
+  // is bounded by peak concurrency.
   void update(size_t idx, double time) {
-    ensure_size(idx + 1);
+    if (times_.size() <= idx) {
+      times_.resize(idx + 1, kInfTime);
+      pos_.resize(idx + 1, kNone);
+    }
     const bool present = pos_[idx] != kNone;
     if (time == kInfTime) {
       if (present) remove(idx);

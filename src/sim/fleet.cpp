@@ -8,15 +8,12 @@
 #include <stdexcept>
 #include <string>
 
-#include "abr/planner.h"
 #include "abr/registry.h"
 #include "core/runner.h"
 #include "net/shared_link.h"
 #include "qoe/chunk_quality.h"
-#include "sim/event_queue.h"
 #include "sim/session_engine.h"
 #include "sim/simulator.h"
-#include "util/kernels.h"
 #include "util/rng.h"
 
 namespace sensei::sim {
@@ -67,7 +64,8 @@ void FleetAggregates::merge(const FleetAggregates& other) {
 
 FleetSimulator::FleetSimulator(FleetConfig config) : config_(std::move(config)) {
   if (config_.num_cells == 0) throw std::runtime_error("fleet: need at least one cell");
-  if (config_.link_scale < 0.0) throw std::runtime_error("fleet: link scale must be >= 0");
+  if (!(config_.link_scale >= 0.0)) throw std::runtime_error("fleet: link scale must be >= 0");
+  validate(config_.player);
   const FleetFaultConfig& faults = config_.faults;
   if (!(faults.cell_failure_fraction >= 0.0) || faults.cell_failure_fraction > 1.0)
     throw std::runtime_error("fleet: cell failure fraction must be in [0, 1]");
@@ -161,7 +159,7 @@ FleetAggregates FleetSimulator::run_cell(
   const FleetFaultConfig& faults = config_.faults;
   net::FaultPlan fault_plan;
   const net::FaultPlan* plan_ptr = nullptr;
-  double fail_at_s = kInf;
+  Failover failover;
   std::optional<net::ThroughputTrace> fallback_trace;
   std::optional<net::SharedLink> fallback_link;
   if (faults.cell_failure_fraction > 0.0) {
@@ -170,9 +168,11 @@ FleetAggregates FleetSimulator::run_cell(
       const double window = faults.cell_failure_window_s > 0.0
                                 ? faults.cell_failure_window_s
                                 : workload.arrival_window_s;
-      fail_at_s = fail_rng.uniform(0.0, window);
+      failover.at_s = fail_rng.uniform(0.0, window);
       fallback_trace.emplace(trace.scaled(faults.fallback_scale, cell_name + "-fallback"));
       fallback_link.emplace(*fallback_trace, /*recycle_ids=*/true);
+      failover.fallback = &*fallback_link;
+      failover.reconnect_delay_s = faults.reconnect_delay_s;
     }
   }
   if (!faults.trace_faults.empty()) {
@@ -184,41 +184,28 @@ FleetAggregates FleetSimulator::run_cell(
     }
   }
 
-  net::SharedLink link(trace, /*recycle_ids=*/true);
-  // All admissions and the event loop go through `live`, which repoints to
-  // the fallback at the failover instant.
-  net::SharedLink* live = &link;
-
   FleetAggregates agg;
   agg.cells = 1;
   agg.sessions_by_policy.assign(pool_specs_.size(), 0);
   agg.completed_by_policy.assign(pool_specs_.size(), 0);
   agg.abandoned_by_policy.assign(pool_specs_.size(), 0);
-  if (fail_at_s < kInf) agg.failed_cells = 1;  // counts the draw, not the hit
-  const qoe::ChunkQualityParams qoe_params;
+  if (failover.at_s < kInf) agg.failed_cells = 1;  // counts the draw, not the hit
 
   // Session slots recycled across sessions, laid out as parallel arrays
-  // (SoA): the event loop touches engines[] almost exclusively, so slot
-  // scans stream over one pointer array instead of striding across
-  // {engine, policy, arrival} triples. All vectors below grow to the cell's
-  // peak concurrency and stay there.
+  // (SoA) that grow to the cell's peak concurrency and stay there: in
+  // steady state admit and retire allocate nothing.
   std::vector<std::unique_ptr<SessionEngine>> engines;  // constructed on first use
   std::vector<std::unique_ptr<AbrPolicy>> policies;
   std::vector<SessionArrival> arrivals;
   std::vector<size_t> free_slots;
-  // Scratch rows for retire()'s per-session QoE fold (chunk_quality_row over
-  // the session's records), sized to the longest session seen.
-  std::vector<double> rec_vq, rec_stall, rec_prev, rec_q;
   // One policy pool per unique canonical spec (pool_specs_ order).
   std::vector<std::vector<std::unique_ptr<AbrPolicy>>> policy_pool(pool_specs_.size());
-  abr::PlanBatch batch;
-  EventQueue events;
-  std::vector<size_t> transfer_owner;  // transfer id -> slot (ids recycled)
-
-  size_t active = 0;
+  SessionArrival pending;        // the arrival next_arrival_s announced
   uint64_t session_ordinal = 0;  // admission order, for per-session jitter tags
 
-  auto admit = [&](const SessionArrival& a) -> size_t {
+  SessionHooks hooks;
+  hooks.next_arrival_s = [&] { return gen.next(&pending) ? pending.start_s : kInf; };
+  hooks.admit = [&](net::SharedLink* link, size_t* slot) -> SessionEngine& {
     size_t idx;
     if (!free_slots.empty()) {
       idx = free_slots.back();
@@ -234,7 +221,8 @@ FleetAggregates FleetSimulator::run_cell(
       free_slots.reserve(engines.size());
       for (auto& pool : policy_pool) pool.reserve(engines.size());
     }
-    arrivals[idx] = a;
+    agg.peak_concurrent = std::max(agg.peak_concurrent, engines.size() - free_slots.size());
+    const SessionArrival& a = arrivals[idx] = pending;
     const size_t pool_idx = mix_to_pool_[a.policy_index];
     auto& pool = policy_pool[pool_idx];
     if (!pool.empty()) {
@@ -243,29 +231,24 @@ FleetAggregates FleetSimulator::run_cell(
     } else {
       policies[idx] = abr::make_policy(pool_specs_[pool_idx]);
     }
-    if (config_.player.share_plan_tables) policies[idx]->attach_plan_batch(&batch);
     const media::EncodedVideo& video = *videos[a.video_index];
-    if (engines[idx] == nullptr) {
-      engines[idx] = std::make_unique<SessionEngine>(config_.player, video, *live,
-                                                     *policies[idx], kNoWeights, a.start_s);
-      engines[idx]->set_chunk_limit(a.chunk_limit);
+    auto& engine = engines[idx];
+    if (engine == nullptr) {
+      engine = std::make_unique<SessionEngine>(config_.player, video, *link, *policies[idx],
+                                               kNoWeights, a.start_s);
+      engine->set_chunk_limit(a.chunk_limit);
     } else {
-      engines[idx]->reset(video, *live, *policies[idx], kNoWeights, a.start_s,
-                          a.chunk_limit);
+      engine->reset(video, *link, *policies[idx], kNoWeights, a.start_s, a.chunk_limit);
     }
     // Stable jitter identity (admission order, decoupled from slot reuse)
     // and the live fault plan for RTT spikes (nullptr detaches).
-    engines[idx]->set_session_tag(util::mix_seed(cell_seed, session_ordinal++));
-    engines[idx]->set_fault_plan(plan_ptr);
-    ++active;
-    agg.peak_concurrent = std::max(agg.peak_concurrent, active);
-    return idx;
+    engine->set_session_tag(util::mix_seed(cell_seed, session_ordinal++));
+    engine->set_fault_plan(plan_ptr);
+    *slot = idx;
+    return *engine;
   };
-
-  auto retire = [&](size_t idx) {
-    const SessionEngine& engine = *engines[idx];
+  hooks.retire = [&](size_t idx, SessionEngine& engine) {
     const std::vector<ChunkRecord>& recs = engine.records();
-
     ++agg.sessions;
     agg.chunks += recs.size();
     const size_t pool_idx = mix_to_pool_[arrivals[idx].policy_index];
@@ -296,150 +279,30 @@ FleetAggregates FleetSimulator::run_cell(
       if (engine.outcome() != SessionOutcome::kOutage) ++agg.recovered_sessions;
     }
     if (!recs.empty()) {
-      // SoA fold: gather the record fields into contiguous rows (prev is
-      // the quality row shifted by one, first chunk self-seeded), one
-      // chunk_quality_row call over the session, then sequential sums —
-      // the same left-to-right accumulation as the scalar loop it replaces.
-      const size_t n = recs.size();
-      if (rec_vq.size() < n) {
-        rec_vq.resize(n);
-        rec_stall.resize(n);
-        rec_prev.resize(n);
-        rec_q.resize(n);
+      // Per-chunk QoE (the first chunk is its own previous) and bitrate,
+      // summed left to right.
+      double qoe_sum = 0.0, bitrate_sum = 0.0;
+      double prev_vq = recs[0].visual_quality;
+      for (const ChunkRecord& r : recs) {
+        qoe_sum += qoe::chunk_quality(r.visual_quality, r.rebuffer_s, prev_vq);
+        prev_vq = r.visual_quality;
+        bitrate_sum += r.bitrate_kbps;
       }
-      double bitrate_sum = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        rec_vq[i] = recs[i].visual_quality;
-        rec_stall[i] = recs[i].rebuffer_s;
-        bitrate_sum += recs[i].bitrate_kbps;
-      }
-      rec_prev[0] = rec_vq[0];
-      std::copy(rec_vq.begin(), rec_vq.begin() + (n - 1), rec_prev.begin() + 1);
-      util::kernels::chunk_quality_row(rec_vq.data(), rec_stall.data(), rec_prev.data(),
-                                       n, qoe_params.beta_rebuf,
-                                       qoe_params.rebuf_saturation,
-                                       qoe_params.beta_switch, qoe_params.floor,
-                                       rec_q.data());
-      double mean_qoe = util::kernels::sum_row(rec_q.data(), n) / static_cast<double>(n);
-      agg.session_qoe.add(mean_qoe);
-      agg.qoe_sketch.add(mean_qoe);
-      agg.session_bitrate_kbps.add(bitrate_sum / static_cast<double>(n));
+      const double n = static_cast<double>(recs.size());
+      agg.session_qoe.add(qoe_sum / n);
+      agg.qoe_sketch.add(qoe_sum / n);
+      agg.session_bitrate_kbps.add(bitrate_sum / n);
       agg.session_rebuffer_s.add(engine.total_stall_s());
       agg.startup_delay_s.add(engine.startup_delay_s());
     }
     if (config_.on_session_done) config_.on_session_done(cell, arrivals[idx], engine);
 
-    policy_pool[mix_to_pool_[arrivals[idx].policy_index]].push_back(
-        std::move(policies[idx]));
+    policy_pool[pool_idx].push_back(std::move(policies[idx]));
     free_slots.push_back(idx);
-    --active;
   };
 
-  auto record_join = [&](size_t idx) {
-    if (engines[idx]->state() != SessionEngine::State::kTransferring) return;
-    size_t id = engines[idx]->transfer_id();
-    if (transfer_owner.size() <= id) transfer_owner.resize(id + 1, 0);
-    transfer_owner[id] = idx;
-  };
-
-  // The sim::Simulator event loop plus an arrival stream: completions land
-  // first, then every arrival at t is admitted (its first event is at t),
-  // then every engine transition scheduled at t runs in slot order.
-  SessionArrival pending;
-  bool have_pending = gen.next(&pending);
-  double prev_t = -kInf;
-  bool prev_was_noop = false;
-  while (active > 0 || have_pending) {
-    double t = std::min(events.min_time(), live->next_completion_s());
-    if (have_pending) t = std::min(t, pending.start_s);
-    t = std::min(t, fail_at_s);
-
-    if (t == kInf) {
-      // Dead link, no arrivals left: every active session is stuck on a
-      // transfer the link can never deliver. Outage-truncate, slot order.
-      for (size_t idx = 0; idx < engines.size(); ++idx) {
-        if (engines[idx] != nullptr && policies[idx] != nullptr &&
-            !engines[idx]->done()) {
-          engines[idx]->fail_transfer();
-          retire(idx);
-        }
-      }
-      break;
-    }
-
-    size_t processed = 0;
-    live->advance_to(t);
-    for (const net::SharedLink::Completion& completion : live->completions_sorted()) {
-      ++processed;
-      size_t idx = transfer_owner[completion.id];
-      engines[idx]->complete_transfer(completion.finish_s);
-      if (engines[idx]->done()) {
-        events.update(idx, kInf);
-        retire(idx);
-      } else {
-        events.update(idx, engines[idx]->next_event_time());
-      }
-    }
-    live->clear_completions();
-
-    while (have_pending && pending.start_s <= t) {
-      size_t idx = admit(pending);
-      events.update(idx, engines[idx]->next_event_time());
-      have_pending = gen.next(&pending);
-      ++processed;
-    }
-
-    while (!events.empty() && events.min_time() <= t) {
-      size_t idx = events.min_index();
-      engines[idx]->advance_to(t);
-      ++processed;
-      events.update(idx, engines[idx]->next_event_time());
-      if (engines[idx]->done()) {
-        retire(idx);
-      } else {
-        record_join(idx);
-      }
-    }
-
-    // Cell failover, processed at the end of its instant: completions and
-    // transitions that land exactly at the failure time still resolve on
-    // the primary; everything live afterwards re-homes to the fallback
-    // (in-flight attempts are aborted and charged by the engine, idle
-    // sessions just repoint) and re-enters the heap at its new event time.
-    if (fail_at_s <= t) {
-      ++processed;
-      for (size_t idx = 0; idx < engines.size(); ++idx) {
-        if (engines[idx] != nullptr && policies[idx] != nullptr &&
-            !engines[idx]->done()) {
-          engines[idx]->rehome(*fallback_link, faults.reconnect_delay_s, t);
-          events.update(idx, engines[idx]->next_event_time());
-        }
-      }
-      live = &*fallback_link;
-      fail_at_s = kInf;
-    }
-
-    // Livelock sentinel, as in sim::Simulator: one no-op instant is legal
-    // (an epsilon-short completion estimate), two in a row can never resolve.
-    if (processed == 0 && prev_was_noop && t == prev_t) {
-      size_t stuck = engines.size();
-      for (size_t idx = 0; idx < engines.size(); ++idx) {
-        if (engines[idx] != nullptr && policies[idx] != nullptr &&
-            !engines[idx]->done()) {
-          stuck = idx;
-          break;
-        }
-      }
-      throw LivelockError("fleet cell " + std::to_string(cell), stuck, t);
-    }
-    prev_was_noop = processed == 0;
-    prev_t = t;
-  }
-
-  // Detach the shared planning tables before the batch dies with the cell.
-  for (auto& pool : policy_pool) {
-    for (auto& policy : pool) policy->attach_plan_batch(nullptr);
-  }
+  net::SharedLink link(trace, /*recycle_ids=*/true);
+  run_event_loop(hooks, &link, config_.player.share_plan_tables, failover, cell_name);
   return agg;
 }
 

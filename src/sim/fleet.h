@@ -5,15 +5,18 @@
 // it is thousands of edge bottlenecks (a cell: one last-mile/edge link)
 // each contending among the handful-to-hundreds of viewers behind it. A
 // FleetSimulator run is `num_cells` such cells; each cell owns a seeded
-// workload stream (sim/workload.h), its own generated bottleneck trace, and
-// its own discrete-event loop (the sim::Simulator loop plus arrivals), all
-// derived from ExperimentRunner::task_seed(seed, cell) — a cell is a pure
-// function of (config, videos, cell index).
+// workload stream (sim/workload.h) and its own generated bottleneck trace,
+// both derived from ExperimentRunner::task_seed(seed, cell) — a cell is a
+// pure function of (config, videos, cell index). A cell runs its sessions
+// through sim::run_event_loop (sim/simulator.h), the same loop
+// sim::Simulator drives: the cell only supplies the arrivals (its workload
+// stream), admission into recycled slots, the retirement fold into
+// FleetAggregates, and an optional failover.
 //
 // Scale discipline (what makes a million sessions fit):
 //  - engines are pooled: a finished session's SessionEngine is reset() to
-//    the next arrival instead of destroyed — with record_timeline off, the
-//    steady-state event loop performs zero allocations (pinned by
+//    the next arrival instead of destroyed — with record_timeline off, a
+//    cell in steady state performs zero allocations (pinned by
 //    tests/test_fleet_alloc.cpp);
 //  - policies are pooled per unique canonical registry spec the same way
 //    (begin_session resets; mix entries denoting the same configuration

@@ -14,7 +14,8 @@
 // Session timing is owned by the exact event-driven timeline engine
 // (sim/timeline.h), the default — itself a thin run-to-completion drive of
 // the resumable sim::SessionEngine state machine (sim/session_engine.h),
-// which sim::Simulator interleaves for multi-session contention scenarios.
+// which sim::run_event_loop interleaves for multi-session contention
+// scenarios (sim::Simulator, sim::FleetSimulator).
 // The pre-timeline accounting loop is kept frozen behind
 // `PlayerConfig::engine = TimingEngine::kLegacy` purely as the reference
 // for the bit-identity equivalence gate (tests/test_timeline.cpp); it
@@ -76,7 +77,7 @@ class AbrPolicy {
   virtual void begin_session(const media::EncodedVideo& video) { (void)video; }
   virtual AbrDecision decide(const AbrObservation& obs) = 0;
   // Offers (nullptr revokes) a pool of static planning tables shared across
-  // a Simulator run's sessions. Purely an optimization hook: attaching must
+  // the sessions of one sim::run_event_loop run. Purely an optimization hook: attaching must
   // never change a policy's decisions, and the caller owning the batch
   // detaches it before the batch dies. Policies without planners ignore it.
   virtual void attach_plan_batch(abr::PlanBatch* batch) { (void)batch; }
@@ -126,9 +127,10 @@ struct PlayerConfig {
   // Sensitivity look-ahead horizon handed to the ABR (paper picks h = 5).
   size_t weight_horizon = 5;
   TimingEngine engine = TimingEngine::kTimeline;
-  // Multi-session runs only (sim::Simulator): share one abr::PlanBatch of
-  // static planning tables across all sessions' policies for the duration
-  // of the run. Bit-identical output either way; off exists for A/B tests.
+  // Multi-session runs only (sim::Simulator, sim::FleetSimulator cells):
+  // share one abr::PlanBatch of static planning tables across all sessions'
+  // policies for the duration of the run. Bit-identical output either way;
+  // off exists for A/B tests.
   bool share_plan_tables = true;
   // Record the per-chunk SessionTimeline trajectory. Decisions and the
   // emitted ChunkRecords are byte-identical either way (no shipped policy
@@ -139,6 +141,14 @@ struct PlayerConfig {
   // Timeout/retry/backoff recovery; disabled by default (see above).
   ResilienceConfig resilience;
 };
+
+// Rejects a PlayerConfig no session can run under with std::runtime_error:
+// a buffer cap or request timeout that is not > 0, or a broken backoff
+// schedule. Every bound is written NaN-safe (!(x > 0) fails on NaN). The
+// Player, Simulator and FleetSimulator constructors call it, so a bad
+// config fails at construction rather than mid-run; SessionEngine calls it
+// too, for engines built directly.
+void validate(const PlayerConfig& config);
 
 class Player {
  public:

@@ -36,20 +36,12 @@ SessionEngine::SessionEngine(const PlayerConfig& config, const media::EncodedVid
 // nothing (the fleet free-pool contract, pinned by tests).
 void SessionEngine::init(const PlayerConfig& config, const std::vector<double>& weights,
                          double start_s) {
+  validate(config);  // also guards engines built directly
   config_ = config;
   weights_ = weights.empty() ? nullptr : &weights;
   if (video_->num_chunks() == 0) throw std::runtime_error("player: empty video");
   if (weights_ != nullptr && weights_->size() != video_->num_chunks())
     throw std::runtime_error("player: weight vector size mismatch");
-  const ResilienceConfig& res = config_.resilience;
-  if (res.enabled() && !(res.request_timeout_s > 0.0))
-    throw std::runtime_error("player: request timeout must be positive");
-  if (res.enabled() &&
-      (!(res.backoff_base_s >= 0.0) || !(res.backoff_factor >= 1.0) ||
-       !(res.backoff_max_s >= 0.0) || !(res.backoff_jitter_frac >= 0.0) ||
-       res.backoff_jitter_frac >= 1.0)) {
-    throw std::runtime_error("player: invalid backoff configuration");
-  }
 
   policy_->begin_session(*video_);
 

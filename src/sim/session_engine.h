@@ -2,8 +2,8 @@
 //
 // SessionEngine is the event-driven session timeline of sim/timeline.h
 // decomposed into an explicit, interruptible state machine so a central
-// scheduler (sim::Simulator) can interleave many concurrent sessions over a
-// shared clock. One engine owns everything the monolithic loop owned — the
+// scheduler (sim::run_event_loop) can interleave many concurrent sessions
+// over a shared clock. One engine owns everything the monolithic loop owned — the
 // ABR observation buffers, the throughput history ring, the trace cursor,
 // the in-flight chunk's record and trajectory — and exposes the session as
 // a sequence of timed transitions:
@@ -113,8 +113,9 @@ class SessionEngine {
   void set_chunk_limit(size_t limit);
 
   // Forwards a shared planning-table pool to the session's policy.
-  // sim::Simulator attaches one batch per run and detaches (nullptr) before
-  // the run returns, so the policy never outlives the tables it reads.
+  // sim::run_event_loop attaches its batch at admission and detaches
+  // (nullptr) at retirement, so the policy never outlives the tables it
+  // reads.
   void attach_plan_batch(abr::PlanBatch* batch) { policy_->attach_plan_batch(batch); }
 
   // Identity salt for the deterministic backoff jitter (mixed with the

@@ -1,11 +1,12 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <utility>
 
 #include "abr/planner.h"
 #include "net/fault.h"
@@ -34,10 +35,142 @@ const char* to_string(LinkMode mode) {
   return "?";
 }
 
-Simulator::Simulator(PlayerConfig config) : config_(config) {
-  if (config_.max_buffer_s <= 0.0)
-    throw std::runtime_error("simulator: max buffer must be > 0");
+void run_event_loop(const SessionHooks& hooks, net::SharedLink* link, bool share_plan_tables,
+                    const Failover& failover, const std::string& name) {
+  // live[slot]: the admitted, unfinished session in that slot (else null).
+  std::vector<SessionEngine*> live;
+  // One pool of static planning tables for every session this loop runs:
+  // N concurrent Fugu sessions on the same ladder build their chunk-size /
+  // quality tables once instead of N times per decision. Attaching never
+  // changes a decision (planners read the exact values they would compute
+  // locally). With sharing off, policies run with no batch at all. The
+  // guard, declared after the batch so it runs first, detaches whoever is
+  // still live on any exit.
+  abr::PlanBatch batch;
+  abr::PlanBatch* shared = share_plan_tables ? &batch : nullptr;
+  struct DetachGuard {
+    const std::vector<SessionEngine*>& live;
+    ~DetachGuard() {
+      for (SessionEngine* engine : live) {
+        if (engine != nullptr) engine->attach_plan_batch(nullptr);
+      }
+    }
+  } guard{live};
+
+  // Indexed min-heap of transition times: each slot holds one entry, moved
+  // in place as its engine's next_event_time() changes (+infinity leaves
+  // the heap). Ties surface in slot order.
+  EventQueue events;
+  std::vector<size_t> transfer_owner;  // transfer id -> slot, set at join
+  size_t active = 0;
+  double next_arrival = hooks.next_arrival_s();
+  double fail_at = failover.at_s;
+
+  auto retire = [&](size_t slot) {
+    SessionEngine& engine = *live[slot];
+    live[slot] = nullptr;
+    --active;
+    engine.attach_plan_batch(nullptr);
+    hooks.retire(slot, engine);
+  };
+  // Re-files `slot` at its next event time, then retires it once done or
+  // records the transfer it joined. A transferring engine parks at its
+  // attempt deadline (finite with resilience), so a completion that ends
+  // the session must clear that entry or the deadline pops later against a
+  // retired slot.
+  auto reschedule = [&](size_t slot) {
+    SessionEngine& engine = *live[slot];
+    events.update(slot, engine.next_event_time());
+    if (engine.done()) {
+      retire(slot);
+    } else if (link != nullptr && engine.state() == SessionEngine::State::kTransferring) {
+      const size_t id = engine.transfer_id();
+      if (transfer_owner.size() <= id) transfer_owner.resize(id + 1, 0);
+      transfer_owner[id] = slot;
+    }
+  };
+
+  double prev_t = -kInf;
+  bool prev_was_noop = false;
+  while (active > 0 || next_arrival < kInf) {
+    const double t = std::min({events.min_time(),
+                               link != nullptr ? link->next_completion_s() : kInf,
+                               next_arrival, fail_at});
+    if (t == kInf) {
+      // No event can ever fire again: every live session waits on a
+      // transfer the shared link can never deliver (dead link). Surface the
+      // outage exactly as a dedicated dead link does at request time.
+      for (size_t slot = 0; slot < live.size(); ++slot) {
+        if (live[slot] == nullptr) continue;
+        live[slot]->fail_transfer();
+        retire(slot);
+      }
+      break;
+    }
+
+    // 1. Completions land first: the leaver frees its share before anyone
+    // joining at t sees the link.
+    size_t processed = 0;
+    if (link != nullptr) {
+      link->advance_to(t);
+      for (const net::SharedLink::Completion& completion : link->completions_sorted()) {
+        ++processed;
+        const size_t slot = transfer_owner[completion.id];
+        live[slot]->complete_transfer(completion.finish_s);
+        reschedule(slot);
+      }
+      link->clear_completions();
+    }
+
+    // 2. Arrivals due at t; their first transition is at t.
+    for (; next_arrival <= t; next_arrival = hooks.next_arrival_s()) {
+      ++processed;
+      size_t slot = 0;
+      SessionEngine& engine = hooks.admit(link, &slot);
+      if (live.size() <= slot) live.resize(slot + 1, nullptr);
+      live[slot] = &engine;
+      ++active;
+      engine.attach_plan_batch(shared);
+      events.update(slot, engine.next_event_time());
+    }
+
+    // 3. Every transition due at t, in slot order. A chain may end in a
+    // join (kRtt expiring at t with rtt 0), which is legal because the link
+    // already sits at t.
+    while (events.min_time() <= t) {
+      const size_t slot = events.min_index();
+      live[slot]->advance_to(t);
+      ++processed;
+      reschedule(slot);
+    }
+
+    // 4. Failover at the end of its instant. In-flight attempts are aborted
+    // and charged by the engine; idle sessions just repoint.
+    if (fail_at <= t) {
+      ++processed;
+      for (size_t slot = 0; slot < live.size(); ++slot) {
+        if (live[slot] == nullptr) continue;
+        live[slot]->rehome(*failover.fallback, failover.reconnect_delay_s, t);
+        reschedule(slot);
+      }
+      link = failover.fallback;
+      fail_at = kInf;
+    }
+
+    // 5. Livelock sentinel. A no-op iteration is legal once (the link predicted
+    // a completion whose drain fell an epsilon short), but time must then
+    // move; two stuck iterations at the same instant can never resolve.
+    if (processed == 0 && prev_was_noop && t == prev_t) {
+      size_t stuck = 0;
+      while (stuck < live.size() && live[stuck] == nullptr) ++stuck;
+      throw LivelockError(name, stuck, t);
+    }
+    prev_was_noop = processed == 0;
+    prev_t = t;
+  }
 }
+
+Simulator::Simulator(PlayerConfig config) : config_(config) { validate(config_); }
 
 std::vector<MultiSessionResult> Simulator::run(const std::vector<SessionSpec>& specs,
                                                const net::ThroughputTrace& trace,
@@ -51,11 +184,12 @@ std::vector<MultiSessionResult> Simulator::run(const std::vector<SessionSpec>& s
     faulted = faults->apply_to_trace(trace);
     net_trace = &faulted;
   }
-
   const std::vector<double> no_weights;
   std::optional<net::SharedLink> link;
   if (mode == LinkMode::kShared) link.emplace(*net_trace);
 
+  // Every engine is built (and every spec checked) before any session runs;
+  // engine i waits in slot i until the loop admits it at its start time.
   std::vector<std::unique_ptr<SessionEngine>> engines;
   engines.reserve(specs.size());
   for (const SessionSpec& spec : specs) {
@@ -63,7 +197,7 @@ std::vector<MultiSessionResult> Simulator::run(const std::vector<SessionSpec>& s
       throw std::runtime_error("simulator: session spec needs a video and a policy");
     // A negative start would be silently clamped to 0 by the trace
     // integrator (misreporting contention), and a NaN start would strand
-    // the engine outside the event heap: both fail loudly instead.
+    // the session outside the event heap: both fail loudly instead.
     if (!std::isfinite(spec.start_s) || spec.start_s < 0.0)
       throw std::runtime_error("simulator: session start must be finite and >= 0");
     const std::vector<double>& w = spec.weights != nullptr ? *spec.weights : no_weights;
@@ -81,127 +215,25 @@ std::vector<MultiSessionResult> Simulator::run(const std::vector<SessionSpec>& s
     engines.back()->set_fault_plan(faults);
   }
 
-  // One pool of static planning tables shared by every session in this run:
-  // N concurrent Fugu sessions on the same ladder build their chunk-size /
-  // quality tables once instead of N times per decision. Attaching never
-  // changes a decision (planners read the exact values they would compute
-  // locally), and the guard detaches on every exit — including the livelock
-  // throw below — so a policy reused after run() never dangles into a dead
-  // batch.
-  abr::PlanBatch batch;
-  struct BatchGuard {
-    std::vector<std::unique_ptr<SessionEngine>>* engines = nullptr;
-    ~BatchGuard() {
-      if (engines == nullptr) return;
-      for (auto& engine : *engines) engine->attach_plan_batch(nullptr);
-    }
-  } batch_guard;
-  if (config_.share_plan_tables) {
-    batch_guard.engines = &engines;
-    for (auto& engine : engines) engine->attach_plan_batch(&batch);
-  }
+  // Admission order: (start_s, spec index). Spec i's result lands in row i.
+  std::vector<size_t> order(specs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return specs[a].start_s < specs[b].start_s; });
+  size_t next = 0;
+  std::vector<MultiSessionResult> results(specs.size());
 
-  // Indexed min-heap of transition times: each engine holds one slot, moved
-  // in place as its next_event_time() changes (+infinity leaves the heap).
-  // Ties surface in session-index order — the deterministic tie-break the
-  // thread-count/diff gates rely on — exactly as the lazy heap this
-  // replaces popped them, without its stale-entry rescans (the measured
-  // 400 -> 1000-session droop) or its per-push allocations.
-  EventQueue events;
-  events.ensure_size(engines.size());
-  auto push_engine = [&](size_t idx) {
-    events.update(idx, engines[idx]->next_event_time());
+  SessionHooks hooks;
+  hooks.next_arrival_s = [&] { return next < order.size() ? specs[order[next]].start_s : kInf; };
+  hooks.admit = [&](net::SharedLink*, size_t* slot) -> SessionEngine& {
+    *slot = order[next++];
+    return *engines[*slot];
   };
-  for (size_t i = 0; i < engines.size(); ++i) push_engine(i);
-  size_t remaining = engines.size();
-
-  // transfer id -> session index, recorded as transfers join the link.
-  std::vector<size_t> transfer_owner;
-  auto record_join = [&](size_t idx) {
-    if (!link || engines[idx]->state() != SessionEngine::State::kTransferring) return;
-    size_t id = engines[idx]->transfer_id();
-    if (transfer_owner.size() <= id) transfer_owner.resize(id + 1, engines.size());
-    transfer_owner[id] = idx;
+  hooks.retire = [&](size_t i, SessionEngine& engine) {
+    results[i] = {specs[i].start_s, engine.take_result()};
   };
-
-  double prev_t = -kInf;
-  bool prev_was_noop = false;
-  while (remaining > 0) {
-    double t_engines = events.min_time();
-    double t_link = link ? link->next_completion_s() : kInf;
-    double t = std::min(t_engines, t_link);
-
-    if (t == kInf) {
-      // No event can ever fire again: every unfinished session is waiting on
-      // a transfer the shared link can never deliver (dead link). Surface
-      // the outage exactly as a dedicated dead link does at request time.
-      for (auto& engine : engines) {
-        if (!engine->done()) {
-          engine->fail_transfer();
-          --remaining;
-        }
-      }
-      break;
-    }
-
-    size_t processed = 0;
-    if (link) {
-      // Completions land before same-instant engine events: the leaver
-      // frees its share before anyone joining at t sees the link.
-      link->advance_to(t);
-      for (const net::SharedLink::Completion& completion : link->completions_sorted()) {
-        ++processed;
-        size_t idx = transfer_owner[completion.id];
-        engines[idx]->complete_transfer(completion.finish_s);
-        // Re-push unconditionally: a transferring engine parks at its attempt
-        // deadline (finite with resilience), and a completion that finishes
-        // the session must clear that stale entry or the deadline pops later
-        // against a done engine and double-counts the retirement.
-        push_engine(idx);
-        if (engines[idx]->done()) --remaining;
-      }
-      link->clear_completions();
-    }
-
-    // Every engine transition scheduled at t, in session-index order. A
-    // chain may end in a join (kRtt expiring at t with rtt 0), which is
-    // legal because the link already sits at t.
-    while (!events.empty() && events.min_time() <= t) {
-      size_t idx = events.min_index();
-      engines[idx]->advance_to(t);
-      ++processed;
-      push_engine(idx);  // done() or in-flight transfers park at +infinity
-      if (engines[idx]->done()) {
-        --remaining;
-      } else {
-        record_join(idx);
-      }
-    }
-
-    // Livelock sentinel. A no-op iteration is legal once (the link predicted
-    // a completion whose drain fell an epsilon short), but time must then
-    // move; two stuck iterations at the same instant can never resolve, so
-    // fail loudly — naming the stuck session and instant — instead of
-    // spinning.
-    if (processed == 0 && prev_was_noop && t == prev_t) {
-      size_t stuck = engines.size();
-      for (size_t i = 0; i < engines.size(); ++i) {
-        if (!engines[i]->done()) {
-          stuck = i;
-          break;
-        }
-      }
-      throw LivelockError("simulator", stuck, t);
-    }
-    prev_was_noop = processed == 0;
-    prev_t = t;
-  }
-
-  std::vector<MultiSessionResult> results;
-  results.reserve(engines.size());
-  for (size_t i = 0; i < engines.size(); ++i) {
-    results.push_back({specs[i].start_s, engines[i]->take_result()});
-  }
+  run_event_loop(hooks, link ? &*link : nullptr, config_.share_plan_tables, Failover(),
+                 "simulator");
   return results;
 }
 

@@ -1,4 +1,5 @@
-// Multi-session simulator: one event loop interleaving N SessionEngines.
+// Multi-session simulation: the one discrete-event loop that interleaves N
+// SessionEngines, and sim::Simulator, its spec-list driver.
 //
 // This is the scenario family the single-session Player cannot express:
 // many concurrent viewers, arriving staggered over a shared clock, either
@@ -7,16 +8,22 @@
 // (kShared — a net::SharedLink splitting each instant's trace capacity
 // equally across active downloads).
 //
-// The loop is a textbook discrete-event scheduler over exact times, not
-// fixed ticks: an indexed min-heap (sim/event_queue.h) of engine transition
-// times plus the shared link's next-completion estimate. Every iteration
-// advances the link to the earliest pending instant, delivers completions
-// (in join order), then lets every engine with a transition at that instant
-// run its chain —
-// deterministic by construction: ties break on session index, completions
-// land before same-instant joins (the leaver frees its share first, which
-// is what makes "last leaver gets the full link" exact at boundaries), and
-// no step depends on heap internals.
+// run_event_loop is a textbook discrete-event scheduler over exact times,
+// not fixed ticks: an indexed min-heap (sim/event_queue.h) of engine
+// transition times, the shared link's next-completion estimate, the next
+// arrival and an optional failover instant. Simulator::run and every
+// FleetSimulator cell drive it; they differ only in where sessions come
+// from and where they go (SessionHooks). Each iteration, at the earliest
+// pending instant t:
+//   1. the link advances to t and delivers its completions (transfer id
+//      order), so a leaver frees its share before anyone joins at t — what
+//      makes "last leaver gets the full link" exact at boundaries;
+//   2. every arrival due at t is admitted;
+//   3. every engine with a transition at t runs its chain, in slot order;
+//   4. a failover due at t re-homes every live session;
+//   5. the livelock sentinel checks that the instant made progress.
+// Deterministic by construction: ties break on slot, and no step depends on
+// heap internals.
 //
 // Equivalence gate (tests/test_simulator.cpp): a single session driven
 // through this loop on a dedicated link emits a SessionResult and
@@ -26,6 +33,8 @@
 // by this scheduler or driven to completion in one call.
 #pragma once
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,15 +46,18 @@
 
 namespace sensei::net {
 class FaultPlan;
+class SharedLink;
 }
 
 namespace sensei::sim {
 
-// Typed livelock diagnosis: an event loop made no progress across two
+class SessionEngine;
+
+// Typed livelock diagnosis: the event loop made no progress across two
 // iterations pinned at the same simulated instant, which can never resolve.
-// Thrown by Simulator::run and FleetSimulator cells instead of spinning;
-// carries the stuck session's index (spec order / cell-local ordinal) and
-// the simulated time so the failure names its culprit.
+// Thrown by run_event_loop instead of spinning; carries the stuck session's
+// slot (spec index for Simulator::run, a recycled cell slot for the fleet)
+// and the simulated time so the failure names its culprit.
 class LivelockError : public std::runtime_error {
  public:
   LivelockError(const std::string& loop, size_t stuck_session, double sim_time_s);
@@ -56,6 +68,41 @@ class LivelockError : public std::runtime_error {
   size_t stuck_session_;
   double sim_time_s_;
 };
+
+// Where run_event_loop's sessions come from and where they go. Every hook
+// runs once per session, never per event.
+struct SessionHooks {
+  // Start time of the next arrival, +infinity once none remain. Called once
+  // up front and once after each admit; start times must not decrease.
+  std::function<double()> next_arrival_s;
+  // Admits the announced arrival: returns its engine, bound to `link`
+  // (nullptr: dedicated link) and starting at that time, and stores its slot
+  // in `*slot`. Same-instant transitions run in slot order, and a slot stays
+  // the session's until it retires.
+  std::function<SessionEngine&(net::SharedLink* link, size_t* slot)> admit;
+  // The session in `slot` is done(); `engine` is valid until this returns.
+  std::function<void(size_t slot, SessionEngine& engine)> retire;
+};
+
+// Cell failover as data: at `at_s` (+infinity: never) every live session
+// re-homes to `fallback`, reconnecting after `reconnect_delay_s`. Runs at
+// the end of its instant, so completions and transitions landing exactly at
+// the failure still resolve on the primary link.
+struct Failover {
+  double at_s = std::numeric_limits<double>::infinity();
+  net::SharedLink* fallback = nullptr;
+  double reconnect_delay_s = 0.0;
+};
+
+// The event loop: admits every arrival of `hooks`, runs each session to
+// done() and retires it. `link` is the shared bottleneck (nullptr: each
+// engine integrates its own trace). With `share_plan_tables` one
+// abr::PlanBatch serves every session's policy: attached at admission,
+// detached at retirement and on any exit, a throw included. Once no event
+// can fire (a dead shared link) every live session ends as an outage.
+// Throws LivelockError, naming `name`, if an instant stops making progress.
+void run_event_loop(const SessionHooks& hooks, net::SharedLink* link, bool share_plan_tables,
+                    const Failover& failover, const std::string& name);
 
 // How sessions see the network.
 enum class LinkMode {
@@ -90,9 +137,12 @@ class Simulator {
 
   const PlayerConfig& config() const { return config_; }
 
-  // Runs every session to completion (or outage) and returns results in
-  // spec order. Deterministic: same specs + trace (+ fault plan) -> same
-  // results, regardless of how sessions interleave in wall-clock terms.
+  // Runs every session to completion (or outage) through run_event_loop and
+  // returns results in spec order. Sessions are admitted in (start_s, spec
+  // index) order into slot = spec index: listing specs with distinct starts
+  // in another order changes no session. Deterministic: same specs + trace
+  // (+ fault plan) -> same results, however sessions interleave in
+  // wall-clock terms.
   // `faults` (nullable) injects a net::FaultPlan: capacity faults are
   // materialized onto the trace before any session starts, RTT spikes are
   // queried by the engines per request. It must outlive the call.

@@ -1,10 +1,10 @@
 // Scalar row helpers for the hot inner rows.
 //
-// The planners, the Whittle index, the scenario generators, and the fleet
-// aggregate fold all spend their time in the same few elementwise rows:
-// download times (a divide per scenario), the saturating chunk-quality
-// expression, and the per-rung index map. Each row is one plain loop here,
-// called once per row instead of once per element.
+// The planners, the Whittle index, and the scenario generators all spend
+// their time in the same few elementwise rows: download times (a divide per
+// scenario), the no-stall chunk-quality expression, and the per-rung index
+// map. Each row is one plain loop here, called once per row instead of
+// once per element.
 //
 // Every helper spells out its min/max as a ternary with an explicit operand
 // order (`floor < q ? q : floor` is std::max(floor, q)). std::min/std::max
@@ -42,22 +42,6 @@ inline void div_add_row(double num, const double* den, size_t n, double den_floo
 // out[i] = x[i] / den  (probability normalization)
 inline void div_scalar_row(const double* x, size_t n, double den, double* out) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] / den;
-}
-
-// General elementwise qoe::chunk_quality over parallel arrays:
-//   pen    = stall[i] <= 0 ? 0 : stall[i] / (1 + sat * stall[i])
-//   out[i] = max(floor, vq[i] - br * pen - bsw * |vq[i] - prev_vq[i]|)
-// The fleet retire() per-record fold uses this with prev_vq = vq shifted
-// by one record.
-inline void chunk_quality_row(const double* vq, const double* stall,
-                              const double* prev_vq, size_t n, double br, double sat,
-                              double bsw, double floor, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const double s = stall[i];
-    const double pen = s <= 0.0 ? 0.0 : s / (1.0 + sat * s);
-    const double q = vq[i] - br * pen - bsw * std::fabs(vq[i] - prev_vq[i]);
-    out[i] = floor < q ? q : floor;
-  }
 }
 
 // No-stall chunk quality, visual quality varying (root_qn_ rows):

@@ -271,6 +271,10 @@ SessionDigest digest_records(const std::vector<ChunkRecord>& recs, bool outage) 
 }
 
 TEST_F(FleetTest, SingleCellMatchesSimulatorOverIdenticalArrivals) {
+  // Both sides drive the same sim::run_event_loop, so this gate checks the
+  // two drivers (arrival replay, slot recycling, pooled policies and
+  // engines), not the loop itself; the literal pins in test_resilience.cpp
+  // (faulty fleet aggregates, a faulted shared Simulator run) watch the loop.
   // One cell, fixed link scale so the reference can rebuild the bottleneck.
   FleetConfig config;
   config.num_cells = 1;

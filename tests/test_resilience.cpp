@@ -368,11 +368,11 @@ TEST(SharedLinkAbort, FreezesGrantsAndRestoresFullCapacity) {
 // ---- LivelockError ----------------------------------------------------------
 
 TEST(LivelockErrorTest, NamesLoopStuckSessionAndInstant) {
-  LivelockError err("fleet cell 3", 7, 12.5);
+  LivelockError err("fleet-cell-3", 7, 12.5);
   EXPECT_EQ(err.stuck_session(), 7u);
   EXPECT_EQ(err.sim_time_s(), 12.5);
   std::string what = err.what();
-  EXPECT_NE(what.find("fleet cell 3"), std::string::npos);
+  EXPECT_NE(what.find("fleet-cell-3"), std::string::npos);
   EXPECT_NE(what.find("stuck session 7"), std::string::npos);
   EXPECT_NE(what.find("12.5"), std::string::npos);
   // Typed, but still catchable where the old sentinel string was.
@@ -582,6 +582,23 @@ TEST_F(FleetResilienceTest, FleetRejectsNonsenseFaultConfigs) {
   bad = gate_config();
   bad.faults.cell_failure_fraction = 0.5;
   bad.faults.cell_failure_window_s = kInf;
+  EXPECT_THROW(FleetSimulator{bad}, std::runtime_error);
+}
+
+// One PlayerConfig validation, run by every constructor that takes a
+// config: a bad buffer cap (NaN included) or request timeout fails before
+// any session runs, not as negative buffers or on a worker thread mid-run.
+TEST_F(FleetResilienceTest, InvalidPlayerConfigsFailAtConstruction) {
+  for (double max_buffer_s : {-1.0, std::nan("")}) {
+    SCOPED_TRACE("max_buffer_s=" + std::to_string(max_buffer_s));
+    FleetConfig bad = gate_config();
+    bad.player.max_buffer_s = max_buffer_s;
+    EXPECT_THROW(FleetSimulator{bad}, std::runtime_error);
+    EXPECT_THROW(Simulator{bad.player}, std::runtime_error);
+    EXPECT_THROW(Player{bad.player}, std::runtime_error);
+  }
+  FleetConfig bad = gate_config();
+  bad.player.resilience.request_timeout_s = -1.0;
   EXPECT_THROW(FleetSimulator{bad}, std::runtime_error);
 }
 
