@@ -75,9 +75,9 @@ struct SessionHooks {
   // Start time of the next arrival, +infinity once none remain. Called once
   // up front and once after each admit; start times must not decrease.
   std::function<double()> next_arrival_s;
-  // Admits the announced arrival: returns its engine, bound to `link`
-  // (nullptr: dedicated link) and starting at that time, and stores its slot
-  // in `*slot`. Same-instant transitions run in slot order, and a slot stays
+  // Admits the announced arrival: returns its engine, bound to `link` (the
+  // loop's current link, the fallback after a failover; nullptr: dedicated)
+  // and starting at that time, and stores its slot in `*slot`. Same-instant transitions run in slot order, and a slot stays
   // the session's until it retires.
   std::function<SessionEngine&(net::SharedLink* link, size_t* slot)> admit;
   // The session in `slot` is done(); `engine` is valid until this returns.
@@ -98,9 +98,10 @@ struct Failover {
 // done() and retires it. `link` is the shared bottleneck (nullptr: each
 // engine integrates its own trace). With `share_plan_tables` one
 // abr::PlanBatch serves every session's policy: attached at admission,
-// detached at retirement and on any exit, a throw included. Once no event
-// can fire (a dead shared link) every live session ends as an outage.
-// Throws LivelockError, naming `name`, if an instant stops making progress.
+// detached at retirement and on any exit, a throw included; without it no
+// policy has a batch attached while it runs. Once no event can fire (a
+// dead shared link) every live session ends as an outage. Throws
+// LivelockError, naming `name`, if an instant stops making progress.
 void run_event_loop(const SessionHooks& hooks, net::SharedLink* link, bool share_plan_tables,
                     const Failover& failover, const std::string& name);
 
