@@ -91,15 +91,9 @@ FleetSimulator::FleetSimulator(FleetConfig config) : config_(std::move(config)) 
   const std::vector<std::string>& specs = probe.canonical_policy_specs();
   mix_to_pool_.reserve(specs.size());
   for (const std::string& spec : specs) {
-    size_t pool = pool_specs_.size();
-    for (size_t i = 0; i < pool_specs_.size(); ++i) {
-      if (pool_specs_[i] == spec) {
-        pool = i;
-        break;
-      }
-    }
-    if (pool == pool_specs_.size()) pool_specs_.push_back(spec);
-    mix_to_pool_.push_back(pool);
+    const auto it = std::find(pool_specs_.begin(), pool_specs_.end(), spec);
+    mix_to_pool_.push_back(static_cast<size_t>(it - pool_specs_.begin()));
+    if (it == pool_specs_.end()) pool_specs_.push_back(spec);
   }
 }
 

@@ -112,11 +112,10 @@ class SessionEngine {
   // control channel.
   void set_chunk_limit(size_t limit);
 
-  // Forwards a shared planning-table pool to the session's policy.
-  // sim::run_event_loop attaches its batch at admission and detaches
-  // (nullptr) at retirement, so the policy never outlives the tables it
-  // reads.
-  void attach_plan_batch(abr::PlanBatch* batch) { policy_->attach_plan_batch(batch); }
+  // The policy this session currently decides with. sim::run_event_loop
+  // attaches its plan batch to it at admission and detaches it when the
+  // run ends.
+  AbrPolicy& policy() const { return *policy_; }
 
   // Identity salt for the deterministic backoff jitter (mixed with the
   // chunk and attempt indices). Drivers set it to the session's stable

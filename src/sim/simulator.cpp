@@ -43,19 +43,20 @@ void run_event_loop(const SessionHooks& hooks, net::SharedLink* link, bool share
   // N concurrent Fugu sessions on the same ladder build their chunk-size /
   // quality tables once instead of N times per decision. Attaching never
   // changes a decision (planners read the exact values they would compute
-  // locally). With sharing off, policies run with no batch at all. The
-  // guard, declared after the batch so it runs first, detaches whoever is
-  // still live on any exit.
+  // locally). With sharing off, policies run with no batch at all. A policy
+  // keeps the batch from its first admission until the run ends, retired or
+  // not (one batch per run, however often a pooled policy is re-admitted);
+  // the guard, declared after the batch so it runs first, detaches every
+  // one on any exit.
   abr::PlanBatch batch;
   abr::PlanBatch* shared = share_plan_tables ? &batch : nullptr;
+  std::vector<AbrPolicy*> attached;
   struct DetachGuard {
-    const std::vector<SessionEngine*>& live;
+    const std::vector<AbrPolicy*>& attached;
     ~DetachGuard() {
-      for (SessionEngine* engine : live) {
-        if (engine != nullptr) engine->attach_plan_batch(nullptr);
-      }
+      for (AbrPolicy* policy : attached) policy->attach_plan_batch(nullptr);
     }
-  } guard{live};
+  } guard{attached};
 
   // Indexed min-heap of transition times: each slot holds one entry, moved
   // in place as its engine's next_event_time() changes (+infinity leaves
@@ -70,7 +71,6 @@ void run_event_loop(const SessionHooks& hooks, net::SharedLink* link, bool share
     SessionEngine& engine = *live[slot];
     live[slot] = nullptr;
     --active;
-    engine.attach_plan_batch(nullptr);
     hooks.retire(slot, engine);
   };
   // Re-files `slot` at its next event time, then retires it once done or
@@ -130,7 +130,11 @@ void run_event_loop(const SessionHooks& hooks, net::SharedLink* link, bool share
       if (live.size() <= slot) live.resize(slot + 1, nullptr);
       live[slot] = &engine;
       ++active;
-      engine.attach_plan_batch(shared);
+      AbrPolicy& policy = engine.policy();
+      if (shared != nullptr && std::count(attached.begin(), attached.end(), &policy) == 0) {
+        policy.attach_plan_batch(shared);
+        attached.push_back(&policy);
+      }
       events.update(slot, engine.next_event_time());
     }
 

@@ -77,8 +77,9 @@ struct SessionHooks {
   std::function<double()> next_arrival_s;
   // Admits the announced arrival: returns its engine, bound to `link` (the
   // loop's current link, the fallback after a failover; nullptr: dedicated)
-  // and starting at that time, and stores its slot in `*slot`. Same-instant transitions run in slot order, and a slot stays
-  // the session's until it retires.
+  // and starting at that time, and stores its slot in `*slot`. Same-instant
+  // transitions run in slot order, and a slot stays the session's until it
+  // retires. The engine's policy must outlive the loop (see below).
   std::function<SessionEngine&(net::SharedLink* link, size_t* slot)> admit;
   // The session in `slot` is done(); `engine` is valid until this returns.
   std::function<void(size_t slot, SessionEngine& engine)> retire;
@@ -97,11 +98,13 @@ struct Failover {
 // The event loop: admits every arrival of `hooks`, runs each session to
 // done() and retires it. `link` is the shared bottleneck (nullptr: each
 // engine integrates its own trace). With `share_plan_tables` one
-// abr::PlanBatch serves every session's policy: attached at admission,
-// detached at retirement and on any exit, a throw included; without it no
-// policy has a batch attached while it runs. Once no event can fire (a
-// dead shared link) every live session ends as an outage. Throws
-// LivelockError, naming `name`, if an instant stops making progress.
+// abr::PlanBatch serves every session's policy: attached at its first
+// admission and detached, retired or not, only when the loop exits (a throw
+// included), so a run has exactly one batch however often a pooled policy
+// comes back; without it no policy has a batch attached while it runs.
+// Once no event can fire (a dead shared link) every live session ends as an
+// outage. Throws LivelockError, naming `name`, if an instant stops making
+// progress.
 void run_event_loop(const SessionHooks& hooks, net::SharedLink* link, bool share_plan_tables,
                     const Failover& failover, const std::string& name);
 
@@ -140,10 +143,12 @@ class Simulator {
 
   // Runs every session to completion (or outage) through run_event_loop and
   // returns results in spec order. Sessions are admitted in (start_s, spec
-  // index) order into slot = spec index: listing specs with distinct starts
-  // in another order changes no session. Deterministic: same specs + trace
-  // (+ fault plan) -> same results, however sessions interleave in
-  // wall-clock terms.
+  // index) order into slot = spec index, and each session's jitter tag is
+  // its spec index. So listing specs with distinct starts in another order
+  // changes no session unless two sessions have transitions at the same
+  // instant (ties run in slot order) or backoff jitter is on.
+  // Deterministic: same specs + trace (+ fault plan) -> same results,
+  // however sessions interleave in wall-clock terms.
   // `faults` (nullable) injects a net::FaultPlan: capacity faults are
   // materialized onto the trace before any session starts, RTT spikes are
   // queried by the engines per request. It must outlive the call.

@@ -343,5 +343,74 @@ TEST_F(FleetTest, SingleCellMatchesSimulatorOverIdenticalArrivals) {
   }
 }
 
+// A BBA that logs, in call order, every plan-batch attach and every decision.
+struct BatchEvent {
+  size_t policy = 0;  // creation serial, unique across cells
+  bool decide = false;
+  const abr::PlanBatch* batch = nullptr;  // attach events only (nullptr: detach)
+};
+
+class BatchProbe : public AbrPolicy {
+ public:
+  BatchProbe(size_t serial, std::vector<BatchEvent>* log)
+      : inner_(abr::make_policy("bba")), serial_(serial), log_(log) {}
+  const char* name() const override { return "batch-probe"; }
+  void begin_session(const media::EncodedVideo& video) override { inner_->begin_session(video); }
+  AbrDecision decide(const AbrObservation& obs) override {
+    log_->push_back({serial_, true, nullptr});
+    return inner_->decide(obs);
+  }
+  void attach_plan_batch(abr::PlanBatch* batch) override {
+    log_->push_back({serial_, false, batch});
+  }
+
+ private:
+  std::unique_ptr<AbrPolicy> inner_;
+  size_t serial_;
+  std::vector<BatchEvent>* log_;
+};
+
+TEST_F(FleetTest, PlanBatchStaysAttachedUntilTheCellEnds) {
+  // A cell is one PlanBatch: each pooled policy is attached at its first
+  // admission and detached only when the cell's loop exits, however often
+  // it is re-admitted. Batch accounting that reads a batch's tables at its
+  // first detach (perfbench's PolicyTimer) counts one batch per cell only
+  // under this contract.
+  struct RestoreRegistry {
+    abr::PolicyRegistry saved = abr::PolicyRegistry::instance();
+    ~RestoreRegistry() { abr::PolicyRegistry::instance() = saved; }
+  } restore;
+  std::vector<BatchEvent> log;
+  size_t made = 0;
+  abr::PolicyRegistry::instance().register_policy("batch-probe", {}, [&](const abr::PolicySpec&) {
+    return std::unique_ptr<AbrPolicy>(std::make_unique<BatchProbe>(made++, &log));
+  });
+  FleetConfig config = small_config();
+  config.workload.policy_mix = {{"batch-probe", 1.0}};
+  core::ExperimentRunner runner(1);
+  FleetAggregates agg = FleetSimulator(config).run(video_ptrs_, runner);
+  ASSERT_GT(agg.sessions, made);  // some policies were re-admitted
+
+  // Each policy sees exactly (batch, nullptr), and a cell is a stretch of
+  // attaches and decisions closed by one unbroken run of detaches.
+  std::vector<std::vector<const abr::PlanBatch*>> attaches(made);
+  size_t closed_cells = 0;
+  bool prev_detach = false;
+  for (const BatchEvent& e : log) {
+    const bool detach = !e.decide && e.batch == nullptr;
+    if (detach && !prev_detach) ++closed_cells;
+    prev_detach = detach;
+    if (!e.decide) attaches[e.policy].push_back(e.batch);
+  }
+  EXPECT_TRUE(prev_detach);
+  EXPECT_EQ(closed_cells, config.num_cells);
+  for (size_t p = 0; p < made; ++p) {
+    SCOPED_TRACE("policy " + std::to_string(p));
+    ASSERT_EQ(attaches[p].size(), 2u);
+    EXPECT_NE(attaches[p][0], nullptr);
+    EXPECT_EQ(attaches[p][1], nullptr);
+  }
+}
+
 }  // namespace
 }  // namespace sensei::sim
