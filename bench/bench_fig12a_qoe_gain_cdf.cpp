@@ -49,7 +49,7 @@ int main() {
               util::median(gain_sensei), util::median(gain_fugu),
               util::median(gain_pensieve), util::median(gain_sensei_pen));
   std::printf("(paper: SENSEI median +14.4%%, Pensieve/Fugu ~+5.7%%; our RL substrate "
-              "is weaker than A3C, so the Fugu family carries the headline here — see "
-              "EXPERIMENTS.md)\n");
+              "is weaker than A3C, so the Fugu family carries the headline here; "
+              "ROADMAP.md item 2 tracks the gap to the paper)\n");
   return 0;
 }

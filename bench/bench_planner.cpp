@@ -11,7 +11,9 @@
 // The workload mirrors SENSEI-Fugu's production configuration: the default
 // 5-level ladder, 8 throughput scenarios, scheduled-rebuffer options
 // {0,1,2} s, sensitivity weights on. DP decisions are cross-checked against
-// the exhaustive reference while timing; any mismatch fails the process.
+// the exhaustive reference (the frozen oracle::ExhaustivePlanner, linked
+// from the test oracle library) while timing; any mismatch fails the
+// process.
 // The vi planner is lossy by design: its decision divergence is counted and
 // reported, never fatal.
 #include <chrono>
@@ -23,6 +25,7 @@
 #include "abr/planner.h"
 #include "bench_util.h"
 #include "media/dataset.h"
+#include "oracle/oracle.h"
 #include "util/rng.h"
 
 using namespace sensei;
@@ -119,7 +122,7 @@ int main(int argc, char** argv) {
   auto cases = make_cases(video, num_obs, num_scenarios, max_horizon, seed);
 
   abr::DpPlanner dp;
-  abr::ExhaustivePlanner exhaustive;
+  oracle::ExhaustivePlanner exhaustive;
   abr::ViPlanner vi;  // default quantum: the production discretization
 
   struct Row {

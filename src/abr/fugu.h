@@ -9,10 +9,10 @@
 // added by SENSEI-Fugu in src/core; this class keeps the vanilla objective.
 //
 // The lookahead itself is delegated to abr::Planner (src/abr/planner.h):
-// the exact branch-and-bound DpPlanner by default, or the reference
-// ExhaustivePlanner behind `FuguConfig::planner` — both return identical
-// decisions (see tests/test_planner_equivalence.cpp); the DP is simply much
-// faster. The discretized ViPlanner is the lossy fleet-scale alternative.
+// the exact branch-and-bound DpPlanner by default, which returns the
+// exhaustive recursion's decisions bit for bit (see
+// tests/test_planner_equivalence.cpp), or the discretized ViPlanner, the
+// lossy fleet-scale alternative, behind `FuguConfig::planner`.
 #pragma once
 
 #include "abr/planner.h"
@@ -41,30 +41,27 @@ struct FuguConfig {
   // stall risk often enough that an un-gated rebuffer action loses QoE.
   double rebuffer_margin = 0.35;
   // Which lookahead engine realizes the objective. kDp (default) is the
-  // exact branch and bound; kExhaustive is the reference recursion; kVi is
-  // the discretized value iteration — lossy but an order of magnitude
-  // faster, the fleet-scale mode (see planner.h).
+  // exact branch and bound; kVi is the discretized value iteration — lossy
+  // but several times faster, the fleet-scale mode (see planner.h).
   PlannerKind planner = PlannerKind::kDp;
   // ViPlanner's value-table bucket width in seconds (Puffer's
   // unit_buf_length); 0 (default) selects kDefaultViBufferQuantumS. Only kVi
   // reads it: the exact kDp has no quantum and make_planner rejects any
-  // nonzero value for it, and kExhaustive ignores it. Negative values and
-  // values in (0, kMinBufferQuantumS) are rejected for every planner.
+  // nonzero value for it. Negative values and values in
+  // (0, kMinBufferQuantumS) are rejected for every planner.
   double dp_buffer_quantum_s = 0.0;
 };
 
 class FuguAbr : public sim::AbrPolicy {
  public:
   explicit FuguAbr(FuguConfig config = FuguConfig());
-  FuguAbr(const FuguAbr& other);
-  FuguAbr& operator=(const FuguAbr& other);
+  // Runs on `planner` instead of the one config.planner names: the seam
+  // whole-session tests use to put a reference planner under Fugu.
+  FuguAbr(FuguConfig config, std::unique_ptr<Planner> planner);
 
   const char* name() const override { return config_.use_weights ? "Sensei-Fugu" : "Fugu"; }
   void begin_session(const media::EncodedVideo& video) override;
   sim::AbrDecision decide(const sim::AbrObservation& obs) override;
-  // Forwarded to the planner. Deliberately NOT copied by the copy
-  // operations above (they rebuild planner_ from config), so a policy
-  // cloned out of a Simulator run never carries a dangling batch pointer.
   void attach_plan_batch(PlanBatch* batch) override { planner_->set_batch(batch); }
 
   const FuguConfig& config() const { return config_; }

@@ -5,18 +5,14 @@
 // the next `horizon` chunks, optionally weighted by per-chunk sensitivity
 // and extended with a scheduled-rebuffering action for the first chunk.
 //
-//  - ExhaustivePlanner is the reference realization: a depth-first walk of
-//    the full (levels x rebuffer_options)^horizon decision tree, advancing a
-//    heap-allocated per-scenario state vector at every node. Exponential in
-//    the horizon; kept as the equivalence baseline behind a config flag.
-//
-//  - DpPlanner is the exact production planner: the same depth-first walk
-//    in the same (level-major, then rebuffer option) order, turned into a
-//    branch and bound in the style of Puffer's production MPC (Yan et al.,
-//    NSDI'20). Per-(depth, level) download-time and quality tables are
-//    precomputed once per decision instead of at every tree node, and the
-//    per-scenario buffers live in one (horizon + 1) x scenarios slab reused
-//    across decide() calls (zero steady-state heap allocation). An
+//  - DpPlanner is the exact production planner: the original Fugu
+//    recursion's depth-first walk of the (levels x rebuffer_options)^horizon
+//    decision tree, in the same (level-major, then rebuffer option) order,
+//    turned into a branch and bound in the style of Puffer's production MPC
+//    (Yan et al., NSDI'20). Per-(depth, level) download-time and quality
+//    tables are precomputed once per decision instead of at every tree node,
+//    and the per-scenario buffers live in one (horizon + 1) x scenarios slab
+//    reused across decide() calls (zero steady-state heap allocation). An
 //    admissible bound prunes the tree: the stall-free relaxation
 //    H(d, level), a tiny L x horizon value iteration over the precomputed
 //    quality tables, upper-bounds any continuation, and greedy rollouts of
@@ -27,10 +23,12 @@
 // Every path's value is the exhaustive walk's left-to-right sum, and every
 // arithmetic expression mirrors that recursion operation for operation, so
 // the leaves the search reaches carry bit-identical values; folding them by
-// (value, visit rank) reproduces the reference's "first strictly better
+// (value, visit rank) reproduces the recursion's "first strictly better
 // leaf wins" tie-break. The DP therefore returns *bit-identical* values and
-// decisions, which tests/test_planner_equivalence.cpp asserts. It has no
-// buffer quantum: the lossy, bounded-state regime is ViPlanner's.
+// decisions to the exhaustive recursion, which
+// tests/test_planner_equivalence.cpp asserts against a frozen copy kept in
+// the test oracle (tests/oracle). It has no buffer quantum: the lossy,
+// bounded-state regime is ViPlanner's.
 //
 //  - ViPlanner is the throughput planner: Puffer's discretized value
 //    iteration (Yan et al., NSDI'20), taken further on three axes.
@@ -75,9 +73,8 @@
 namespace sensei::abr {
 
 enum class PlannerKind {
-  kDp,          // exact branch-and-bound lookahead (default)
-  kExhaustive,  // reference exhaustive recursion
-  kVi,          // discretized value iteration (Puffer-style, lossy)
+  kDp,  // exact branch-and-bound lookahead (default)
+  kVi,  // discretized value iteration (Puffer-style, lossy)
 };
 
 // Default buffer bucket width for ViPlanner (Puffer's UNIT_BUF_LENGTH) at
@@ -298,29 +295,6 @@ class Planner {
   virtual void set_batch(PlanBatch* batch) { (void)batch; }
 };
 
-// The original Fugu recursion, verbatim: the correctness baseline the DP is
-// gated against, and the "before" side of bench_planner.
-class ExhaustivePlanner : public Planner {
- public:
-  const char* name() const override { return "exhaustive"; }
-  PlanResult plan(const PlanQuery& query) override;
-
- private:
-  struct PlanState {
-    double buffer_s = 0.0;
-    double prev_vq = 0.0;
-  };
-
-  double walk(const PlanQuery& q, size_t depth, size_t chunk,
-              std::vector<PlanState>& states, double prev_weighted_sum);
-
-  // Best first action found by the current walk, tracked separately for
-  // stall-free plans so the caller can apply the rebuffer margin.
-  PlanResult result_;
-  size_t plan_first_level_ = 0;
-  double plan_first_rebuffer_ = 0.0;
-};
-
 class DpPlanner : public Planner {
  public:
   const char* name() const override { return "dp"; }
@@ -491,7 +465,7 @@ class ViPlanner : public Planner {
 
 // Throws std::invalid_argument when buffer_quantum_error(dp_buffer_quantum_s)
 // names a reason, or when kind is kDp and the quantum is not 0: the exact
-// planner has no buffer quantum (only kVi reads it; kExhaustive ignores it).
+// planner has no buffer quantum (only kVi reads it).
 std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s = 0.0);
 
 }  // namespace sensei::abr

@@ -56,10 +56,25 @@ void FaultPlan::add(const FaultEvent& event) {
   events_.push_back(event);
 }
 
+void validate(const RandomFaultSpec& spec) {
+  // Each bound is written so NaN fails it; +inf fails std::isfinite.
+  const auto check = [](const char* field, double value, bool zero_ok) {
+    if (std::isfinite(value) && (zero_ok ? value >= 0.0 : value > 0.0)) return;
+    throw std::invalid_argument(std::string("fault spec: ") + field +
+                                " must be finite and " + (zero_ok ? ">= 0" : "> 0") +
+                                ", got " + std::to_string(value));
+  };
+  check("horizon_s", spec.horizon_s, false);
+  check("mean_outages", spec.mean_outages, true);
+  check("outage_mean_duration_s", spec.outage_mean_duration_s, false);
+  check("mean_collapses", spec.mean_collapses, true);
+  check("collapse_mean_duration_s", spec.collapse_mean_duration_s, false);
+  check("mean_rtt_spikes", spec.mean_rtt_spikes, true);
+  check("rtt_spike_mean_duration_s", spec.rtt_spike_mean_duration_s, false);
+}
+
 FaultPlan FaultPlan::random(const RandomFaultSpec& spec, uint64_t seed) {
-  if (!(spec.horizon_s > 0.0) || !std::isfinite(spec.horizon_s)) {
-    throw std::invalid_argument("fault spec: horizon must be finite and positive");
-  }
+  validate(spec);
   FaultPlan plan;
   util::Rng rng(seed);
   // Fixed draw order: counts per kind first, then (start, duration) pairs

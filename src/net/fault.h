@@ -70,6 +70,13 @@ struct RandomFaultSpec {
   RandomFaultSpec scaled(double intensity) const;
 };
 
+// Rejects a spec no plan can be drawn from with std::invalid_argument
+// naming the field: a horizon or mean duration that is not finite and > 0,
+// or a mean count that is not finite and >= 0 (an infinite mean would
+// never finish its Poisson draw). FaultPlan::random and the FleetSimulator
+// constructor call it.
+void validate(const RandomFaultSpec& spec);
+
 class FaultPlan {
  public:
   FaultPlan() = default;

@@ -1,6 +1,5 @@
 #include "net/trace.h"
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -13,8 +12,6 @@ namespace sensei::net {
 
 namespace {
 
-std::atomic<int> g_default_integration{static_cast<int>(TraceIntegration::kIndexed)};
-
 TransferResult dead_link() {
   TransferResult result;
   result.completed = false;
@@ -24,28 +21,20 @@ TransferResult dead_link() {
 
 // Smallest k in (p, n] with prefix[k] - prefix[p] >= target, given that
 // k = n satisfies it. The predicate is monotone in k (prefix is
-// nondecreasing and rounding is order-preserving), so the linear reference
-// scan and the bracketed binary search provably return the same k — this
-// single shared expression is what makes the two integration modes
-// bit-identical. `hint` (a phase from a cursor's previous finish) only
-// seeds the gallop that brackets the answer.
+// nondecreasing and rounding is order-preserving), so the bracketed search
+// returns the same k as a linear scan would. `hint` (a phase from a
+// cursor's previous finish) only seeds the bracket.
 // Chunk-scale transfers finish within a few intervals of their start, where
 // a cache-hot linear scan beats binary search; session-scale transfers and
 // long fades span thousands, where binary search wins by orders of
-// magnitude. The indexed mode scans this many intervals exactly before
-// switching — the hybrid returns the same minimal k either way, so the
-// constant is pure tuning, never semantics.
+// magnitude. The search scans this many intervals exactly before switching
+// — the hybrid returns the same minimal k either way, so the constant is
+// pure tuning, never semantics.
 constexpr size_t kLinearScanSpan = 64;
 
 size_t find_finish(const std::vector<double>& prefix, size_t p, size_t n, double target,
-                   TraceIntegration mode, size_t* hint) {
+                   size_t* hint) {
   auto consumed_reaches = [&](size_t k) { return prefix[k] - prefix[p] >= target; };
-
-  if (mode == TraceIntegration::kWalker) {
-    size_t k = p + 1;
-    while (!consumed_reaches(k)) ++k;
-    return k;
-  }
 
   // Short exact linear scan first (the common chunk-download case).
   size_t linear_end = n - p > kLinearScanSpan ? p + kLinearScanSpan : n;
@@ -77,14 +66,6 @@ size_t find_finish(const std::vector<double>& prefix, size_t p, size_t n, double
 }
 
 }  // namespace
-
-TraceIntegration default_trace_integration() {
-  return static_cast<TraceIntegration>(g_default_integration.load(std::memory_order_relaxed));
-}
-
-void set_default_trace_integration(TraceIntegration mode) {
-  g_default_integration.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 ThroughputTrace::ThroughputTrace(std::string name, std::vector<double> samples_kbps,
                                  double interval_s, bool finite)
@@ -135,8 +116,7 @@ double ThroughputTrace::mean_kbps() const { return util::mean(samples_); }
 
 double ThroughputTrace::stddev_kbps() const { return util::stddev(samples_); }
 
-TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceIntegration mode,
-                                          size_t* hint) const {
+TransferResult ThroughputTrace::integrate(double bytes, double start_s, size_t* hint) const {
   TransferResult result;
   if (bytes <= 0.0) return result;
   // A transfer "started" at non-finite time (downstream of an earlier
@@ -178,9 +158,8 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
 
   // --- full intervals, one period window at a time -------------------------
   // The finishing interval is the smallest k with "capacity consumed since
-  // the window's phase >= bits remaining" — evaluated from the shared prefix
-  // sums, so the walker's linear scan and the indexed binary search agree
-  // exactly. Looping traces consume whole periods in O(1) between windows.
+  // the window's phase >= bits remaining", evaluated from the shared prefix
+  // sums. Looping traces consume whole periods in O(1) between windows.
   const size_t b = idx + 1;  // absolute index of the first full interval
   const double period_bits = prefix[n];
   size_t base;   // absolute index of the current window's phase 0
@@ -206,7 +185,7 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
     if (finite_ && phase >= n) return dead_link();
     double window_bits = prefix[n] - prefix[phase];
     if (window_bits >= remaining_bits) {
-      size_t k = find_finish(prefix, phase, n, remaining_bits, mode, hint);
+      size_t k = find_finish(prefix, phase, n, remaining_bits, hint);
       if (hint != nullptr) *hint = k;
       size_t finish = base + k - 1;  // absolute finishing interval
       double r = remaining_bits - (prefix[k - 1] - prefix[phase]);
@@ -230,25 +209,23 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
   }
 }
 
-TransferResult ThroughputTrace::advance(double bytes, double start_s,
-                                        TraceIntegration mode) const {
-  return integrate(bytes, start_s, mode, nullptr);
+TransferResult ThroughputTrace::advance(double bytes, double start_s) const {
+  return integrate(bytes, start_s, nullptr);
 }
 
-double ThroughputTrace::download_time_s(double bytes, double start_s, double rtt_s,
-                                        TraceIntegration mode) const {
+double ThroughputTrace::download_time_s(double bytes, double start_s, double rtt_s) const {
   // RTT is request dead time: it burns wall clock *before* the first byte
   // and consumes no trace capacity, so the transfer integrates from
   // start_s + rtt_s (not from start_s, which would let the request "use"
   // link capacity it never touched).
   if (bytes <= 0.0) return rtt_s;
-  TransferResult transfer = advance(bytes, start_s + rtt_s, mode);
+  TransferResult transfer = advance(bytes, start_s + rtt_s);
   if (!transfer.completed) return std::numeric_limits<double>::infinity();
   return rtt_s + transfer.elapsed_s;
 }
 
 TransferResult TraceCursor::advance(double bytes, double start_s) {
-  return trace_->integrate(bytes, start_s, mode_, &hint_);
+  return trace_->integrate(bytes, start_s, &hint_);
 }
 
 double TraceCursor::download_time_s(double bytes, double start_s, double rtt_s) {

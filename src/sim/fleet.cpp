@@ -67,6 +67,7 @@ FleetSimulator::FleetSimulator(FleetConfig config) : config_(std::move(config)) 
   if (!(config_.link_scale >= 0.0)) throw std::runtime_error("fleet: link scale must be >= 0");
   validate(config_.player);
   const FleetFaultConfig& faults = config_.faults;
+  net::validate(faults.trace_faults);
   if (!(faults.cell_failure_fraction >= 0.0) || faults.cell_failure_fraction > 1.0)
     throw std::runtime_error("fleet: cell failure fraction must be in [0, 1]");
   if (faults.cell_failure_fraction > 0.0) {

@@ -69,7 +69,7 @@ class SessionResult {
   // chunk records cover everything downloaded before the outage.
   SessionOutcome outcome() const { return outcome_; }
   // The coarse setter keeps the legacy mapping (kOutage -> kDeadLink) for
-  // callers that predate typed causes (offline optimal, legacy engine).
+  // callers that predate typed causes (the offline optimal).
   void set_outcome(SessionOutcome outcome) {
     outcome_ = outcome;
     outcome_cause_ =
@@ -87,9 +87,9 @@ class SessionResult {
   OutcomeCause outcome_cause() const { return outcome_cause_; }
   size_t failed_chunk() const { return failed_chunk_; }
 
-  // The full playhead/buffer trajectory, when the session was produced by
-  // the timeline engine (nullptr from the frozen legacy engine). Shared so
-  // copying grid results stays cheap.
+  // The full playhead/buffer trajectory, when one was recorded (nullptr
+  // with PlayerConfig::record_timeline off and from the offline optimal).
+  // Shared so copying grid results stays cheap.
   const SessionTimeline* timeline() const { return timeline_.get(); }
   void set_timeline(std::shared_ptr<const SessionTimeline> timeline) {
     timeline_ = std::move(timeline);

@@ -50,8 +50,8 @@
 // executes the exact statements (same expressions, same order) of the
 // original loop body. Player::stream and stream_timeline are now thin
 // run-to-completion wrappers over this class; tests/test_simulator.cpp
-// gates Simulator-driven sessions against them, and the legacy-vs-timeline
-// gate of tests/test_timeline.cpp pins the numbers themselves.
+// gates Simulator-driven sessions against them, and tests/test_timeline.cpp
+// pins the numbers themselves against the frozen legacy loop (tests/oracle).
 #pragma once
 
 #include <memory>
@@ -102,8 +102,6 @@ class SessionEngine {
 
   State state() const { return state_; }
   bool done() const { return state_ == State::kDone || state_ == State::kOutage; }
-  double start_s() const { return start_abs_s_; }
-  size_t next_chunk() const { return next_chunk_; }
 
   // Viewer abandonment: end the session (kDone, outcome kCompleted) after
   // `limit` chunks even if the video has more. Clamped to [1, num_chunks];
@@ -191,7 +189,6 @@ class SessionEngine {
   size_t failed_chunk() const { return state_ == State::kOutage ? next_chunk_ : end_chunk_; }
   double startup_delay_s() const { return startup_delay_s_; }
   double total_stall_s() const { return total_stall_s_; }
-  double wall_clock_s() const { return wall_clock_s_; }
 
   // --- resilience counters (session-scoped, reset by reset()) -------------
   size_t timeouts() const { return timeouts_; }              // attempts that missed a deadline

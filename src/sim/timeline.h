@@ -32,8 +32,9 @@
 //
 // On well-behaved traces (no outage) with rtt_s = 0 the engine is
 // bit-identical to the legacy accounting, field for field — the
-// equivalence gate in tests/test_timeline.cpp enforces it on a seeded
-// (video × trace × policy) grid at 1 and 4 runner threads.
+// equivalence gate in tests/test_timeline.cpp enforces it against the
+// frozen legacy loop in tests/oracle on a seeded (video × trace × policy)
+// grid at 1 and 4 runner threads.
 #pragma once
 
 #include <cstddef>

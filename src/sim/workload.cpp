@@ -34,9 +34,9 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config, uint64_t seed
     throw std::runtime_error("workload: arrival window must be > 0");
   if (config_.arrivals == ArrivalProcess::kDiurnal && !(config_.diurnal_period_s > 0.0))
     throw std::runtime_error("workload: diurnal period must be > 0");
-  if (config_.diurnal_trough < 0.0 || config_.diurnal_trough > 1.0)
+  if (!(config_.diurnal_trough >= 0.0 && config_.diurnal_trough <= 1.0))
     throw std::runtime_error("workload: diurnal trough must be in [0, 1]");
-  if (config_.abandon_fraction < 0.0 || config_.abandon_fraction > 1.0)
+  if (!(config_.abandon_fraction >= 0.0 && config_.abandon_fraction <= 1.0))
     throw std::runtime_error("workload: abandon fraction must be in [0, 1]");
   if (config_.abandon_fraction > 0.0 && !(config_.mean_abandon_chunks >= 1.0))
     throw std::runtime_error("workload: mean abandon chunks must be >= 1");

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/trace.h"
@@ -105,6 +108,43 @@ TEST(FaultPlan, IntensityScalesCountsAndZeroDisables) {
   }
   double ratio = static_cast<double>(at_4) / static_cast<double>(at_1);
   EXPECT_NEAR(ratio, 4.0, 1.0);
+}
+
+// Every mean a random plan reads is validated up front, naming the field:
+// an infinite mean count would split for ever in Rng::poisson (inf * 0.5
+// is inf), and a negative or NaN count would silently draw no events.
+TEST(FaultPlan, RandomRejectsBadMeansNamingTheField) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  struct Field {
+    const char* name;
+    double RandomFaultSpec::*member;
+    std::vector<double> bad;
+  };
+  const Field fields[] = {
+      {"horizon_s", &RandomFaultSpec::horizon_s, {0.0, -1.0, nan, inf}},
+      {"mean_outages", &RandomFaultSpec::mean_outages, {-1.0, nan, inf}},
+      {"outage_mean_duration_s", &RandomFaultSpec::outage_mean_duration_s, {0.0, nan, inf}},
+      {"mean_collapses", &RandomFaultSpec::mean_collapses, {-0.5, nan, inf}},
+      {"collapse_mean_duration_s", &RandomFaultSpec::collapse_mean_duration_s, {-2.0, nan}},
+      {"mean_rtt_spikes", &RandomFaultSpec::mean_rtt_spikes, {-3.0, nan, inf}},
+      {"rtt_spike_mean_duration_s", &RandomFaultSpec::rtt_spike_mean_duration_s, {0.0, inf}},
+  };
+  for (const Field& field : fields) {
+    for (double value : field.bad) {
+      SCOPED_TRACE(std::string(field.name) + "=" + std::to_string(value));
+      RandomFaultSpec spec;
+      spec.*field.member = value;
+      try {
+        FaultPlan::random(spec, 7);
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field.name), std::string::npos) << e.what();
+      }
+    }
+  }
+  // Zero counts are a valid empty plan.
+  EXPECT_NO_THROW(validate(RandomFaultSpec()));
 }
 
 TEST(FaultPlan, PointQueriesUseMinFactorAndMaxExtra) {

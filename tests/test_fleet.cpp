@@ -156,9 +156,15 @@ TEST(Workload, RejectsNonsenseConfigs) {
   bad = WorkloadConfig();
   bad.policy_mix = {{"bba:bogus_key=1", 1.0}};
   EXPECT_THROW(WorkloadGenerator(bad, 1), std::runtime_error);
-  bad = WorkloadConfig();
-  bad.diurnal_trough = 1.5;
-  EXPECT_THROW(WorkloadGenerator(bad, 1), std::runtime_error);
+  // The [0, 1] fractions must reject NaN, which fails every comparison.
+  for (double fraction : {1.5, -0.1, std::nan("")}) {
+    bad = WorkloadConfig();
+    bad.diurnal_trough = fraction;
+    EXPECT_THROW(WorkloadGenerator(bad, 1), std::runtime_error) << fraction;
+    bad = WorkloadConfig();
+    bad.abandon_fraction = fraction;
+    EXPECT_THROW(WorkloadGenerator(bad, 1), std::runtime_error) << fraction;
+  }
   bad = WorkloadConfig();
   bad.trace_mean_kbps_max = bad.trace_mean_kbps_min / 2.0;
   EXPECT_THROW(WorkloadGenerator(bad, 1), std::runtime_error);

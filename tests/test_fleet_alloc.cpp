@@ -3,8 +3,9 @@
 //
 //  1. Engine recycling: once a SessionEngine has streamed one session on a
 //     recycling SharedLink with record_timeline off, reset() + a full
-//     further session performs ZERO heap allocations — the reset-don't-
-//     reallocate contract the fleet's free pool is built on.
+//     further session driven by sim::run_event_loop performs ZERO heap
+//     allocations — the reset-don't-reallocate contract the fleet's free
+//     pool is built on.
 //  2. Fleet steady state: in a running cell, once concurrency has peaked
 //     and the pools are warm, finishing and admitting further sessions
 //     allocates nothing — memory is bounded by peak concurrency, not
@@ -12,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "net/trace_gen.h"
 #include "sim/fleet.h"
 #include "sim/session_engine.h"
+#include "sim/simulator.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -45,22 +47,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace sensei::sim {
 namespace {
 
-// Drives one shared-link session to completion (the Simulator loop for a
-// single engine).
-void drive(SessionEngine& engine, net::SharedLink& link) {
-  while (!engine.done()) {
-    double t = std::min(engine.next_event_time(), link.next_completion_s());
-    ASSERT_TRUE(std::isfinite(t));
-    link.advance_to(t);
-    bool completed = false;
-    for (const net::SharedLink::Completion& c : link.completions_sorted()) {
-      engine.complete_transfer(c.finish_s);
-      completed = true;
-    }
-    link.clear_completions();
-    if (!completed) engine.advance_to(t);
-  }
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(FleetAllocation, RecycledEngineStreamsSessionsWithoutAllocating) {
   media::EncodedVideo video = media::Encoder().encode(
@@ -72,19 +59,46 @@ TEST(FleetAllocation, RecycledEngineStreamsSessionsWithoutAllocating) {
   PlayerConfig config;
   config.record_timeline = false;
   abr::BbaAbr bba;
-  SessionEngine engine(config, video, link, bba, {}, link.now_s());
-  drive(engine, link);  // session 1: growth to high-water capacity
-  ASSERT_EQ(engine.records().size(), video.num_chunks());
+  SessionEngine engine(config, video, link, bba, {}, 0.0);
 
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    double start_s = link.now_s();
-    std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    engine.reset(video, link, bba, {}, start_s, /*chunk_limit=*/20);
-    drive(engine, link);
-    std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-    ASSERT_EQ(engine.records().size(), 20u);
-    EXPECT_EQ(engine.outcome(), SessionOutcome::kCompleted);
-    EXPECT_EQ(after - before, 0u) << "repeat " << repeat;
+  // One run of the real event loop on one recycled engine: session 0 grows
+  // every buffer (the engine's, the link's, the loop's) to high water, then
+  // three 20-chunk repeats, each announced long after the previous one
+  // retires, must each stream from admit to retire without allocating.
+  constexpr size_t kRepeats = 3;
+  constexpr double kRepeatSpacingS = 5000.0;
+  size_t admitted = 0;
+  std::uint64_t before = 0;
+  std::vector<std::uint64_t> allocations;
+  allocations.reserve(kRepeats);  // the probe itself must not allocate in the window
+  SessionHooks hooks;
+  hooks.next_arrival_s = [&] {
+    return admitted <= kRepeats ? kRepeatSpacingS * static_cast<double>(admitted) : kInf;
+  };
+  hooks.admit = [&](net::SharedLink* loop_link, size_t* slot) -> SessionEngine& {
+    if (admitted > 0) {
+      before = g_allocations.load(std::memory_order_relaxed);
+      engine.reset(video, *loop_link, bba, {}, kRepeatSpacingS * static_cast<double>(admitted),
+                   /*chunk_limit=*/20);
+    }
+    ++admitted;
+    *slot = 0;
+    return engine;
+  };
+  hooks.retire = [&](size_t, SessionEngine& done) {
+    if (admitted == 1) {
+      ASSERT_EQ(done.records().size(), video.num_chunks());
+      return;
+    }
+    allocations.push_back(g_allocations.load(std::memory_order_relaxed) - before);
+    EXPECT_EQ(done.records().size(), 20u);
+    EXPECT_EQ(done.outcome(), SessionOutcome::kCompleted);
+  };
+  run_event_loop(hooks, &link, config.share_plan_tables, Failover(), "fleet-alloc");
+
+  ASSERT_EQ(allocations.size(), kRepeats);
+  for (size_t repeat = 0; repeat < kRepeats; ++repeat) {
+    EXPECT_EQ(allocations[repeat], 0u) << "repeat " << repeat;
   }
 }
 

@@ -1,8 +1,9 @@
-// Equivalence gate for the MPC planner swap: the memoized DpPlanner must
-// reproduce the reference ExhaustivePlanner exactly — same (level,
-// scheduled_rebuffer) decision and bit-identical value — across a seeded
-// grid of observations, weights, and scenario sets, and whole experiment
-// grids must stay bit-identical before/after the swap at any thread count.
+// Equivalence gate for the MPC planner: the branch-and-bound DpPlanner must
+// reproduce the exhaustive recursion (the frozen oracle::ExhaustivePlanner)
+// exactly — same (level, scheduled_rebuffer) decision and bit-identical
+// value — across a seeded grid of observations, weights, and scenario sets,
+// and whole sessions and experiment grids must stay bit-identical between
+// the two at any thread count.
 #include "abr/planner.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/runner.h"
 #include "media/dataset.h"
 #include "net/trace_gen.h"
+#include "oracle/oracle.h"
 #include "sim/player.h"
 #include "util/rng.h"
 
@@ -122,7 +124,7 @@ PlanQuery make_query(const GridCase& c) {
 }
 
 TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
-  ExhaustivePlanner reference;
+  oracle::ExhaustivePlanner reference;
   DpPlanner dp;
   auto grid = seeded_grid(video_, 0xfeed5eed, 6, 400);
   ASSERT_FALSE(grid.empty());
@@ -220,15 +222,12 @@ TEST_F(PlannerEquivalence, FullSessionsIdenticalAcrossPlanners) {
 
   for (bool sensei_mode : {false, true}) {
     for (const auto& trace : traces) {
-      FuguConfig dp_cfg, ex_cfg;
-      dp_cfg.use_weights = ex_cfg.use_weights = sensei_mode;
-      if (sensei_mode) {
-        dp_cfg.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
-        ex_cfg.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
-      }
-      dp_cfg.planner = PlannerKind::kDp;
-      ex_cfg.planner = PlannerKind::kExhaustive;
-      FuguAbr dp_abr(dp_cfg), ex_abr(ex_cfg);
+      FuguConfig cfg;
+      cfg.use_weights = sensei_mode;
+      if (sensei_mode) cfg.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
+      cfg.planner = PlannerKind::kDp;
+      FuguAbr dp_abr(cfg);
+      FuguAbr ex_abr(cfg, std::make_unique<oracle::ExhaustivePlanner>());
       sim::Player player;
       auto s_dp = player.stream(video_, trace, dp_abr, sensei_mode ? weights : std::vector<double>{});
       auto s_ex = player.stream(video_, trace, ex_abr, sensei_mode ? weights : std::vector<double>{});
@@ -246,9 +245,9 @@ TEST_F(PlannerEquivalence, FullSessionsIdenticalAcrossPlanners) {
   }
 }
 
-// ExperimentRunner grids must be bit-identical before/after the planner
-// swap, and across thread counts — the end-to-end determinism contract the
-// figure benches rely on.
+// ExperimentRunner grids must be bit-identical between the DP and the
+// exhaustive oracle, and across thread counts — the end-to-end determinism
+// contract the figure benches rely on.
 TEST(PlannerGridDeterminism, GridBitIdenticalAcrossPlannersAndThreads) {
   std::vector<media::EncodedVideo> videos;
   videos.push_back(media::Encoder().encode(
@@ -266,17 +265,23 @@ TEST(PlannerGridDeterminism, GridBitIdenticalAcrossPlannersAndThreads) {
     weights.push_back(std::move(w));
   }
 
-  auto run = [&](abr::PlannerKind kind, size_t threads) {
+  // SENSEI-Fugu as the registry builds it, on the DP or on the oracle.
+  auto make = [](bool exhaustive) -> std::unique_ptr<sim::AbrPolicy> {
+    auto dp = core::Sensei::make_sensei_fugu({});
+    if (!exhaustive) return dp;
+    return std::make_unique<FuguAbr>(dp->config(),
+                                     std::make_unique<oracle::ExhaustivePlanner>());
+  };
+  auto run = [&](bool exhaustive, size_t threads) {
     core::ExperimentRunner runner(threads);
     return core::Experiments::run_grid(
-        videos, traces, [kind] { return core::Sensei::make_sensei_fugu({}, kind); },
-        weights, runner);
+        videos, traces, [&make, exhaustive] { return make(exhaustive); }, weights, runner);
   };
 
-  auto base = run(abr::PlannerKind::kExhaustive, 1);
-  for (auto kind : {abr::PlannerKind::kExhaustive, abr::PlannerKind::kDp}) {
+  auto base = run(true, 1);
+  for (bool exhaustive : {true, false}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      auto got = run(kind, threads);
+      auto got = run(exhaustive, threads);
       ASSERT_EQ(got.size(), base.size());
       for (size_t i = 0; i < base.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i) + " threads " + std::to_string(threads));
@@ -301,7 +306,7 @@ TEST(PlannerGridDeterminism, GridBitIdenticalAcrossPlannersAndThreads) {
 // scheduled stall, zero value. A -1e18 "no leaf found" sentinel leaking out
 // of any of these was the original bug this pins.
 TEST_F(PlannerEquivalence, DegenerateQueriesNoOpAcrossAllPlanners) {
-  ExhaustivePlanner exhaustive;
+  oracle::ExhaustivePlanner exhaustive;
   DpPlanner dp;
   ViPlanner vi;
   Planner* planners[] = {&exhaustive, &dp, &vi};

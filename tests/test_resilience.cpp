@@ -583,6 +583,19 @@ TEST_F(FleetResilienceTest, FleetRejectsNonsenseFaultConfigs) {
   bad.faults.cell_failure_fraction = 0.5;
   bad.faults.cell_failure_window_s = kInf;
   EXPECT_THROW(FleetSimulator{bad}, std::runtime_error);
+  // A trace-fault spec no plan can be drawn from fails here, naming the
+  // field, not when a worker thread draws a cell's plan mid-run.
+  bad = faulty_config();
+  bad.faults.trace_faults.mean_collapses = std::nan("");
+  try {
+    FleetSimulator{bad};
+    ADD_FAILURE() << "NaN mean_collapses was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("mean_collapses"), std::string::npos) << e.what();
+  }
+  bad = faulty_config();
+  bad.faults.trace_faults.outage_mean_duration_s = -5.0;
+  EXPECT_THROW(FleetSimulator{bad}, std::invalid_argument);
 }
 
 // One PlayerConfig validation, run by every constructor that takes a

@@ -120,7 +120,7 @@ TEST(Trace, NonDyadicIntervalBoundariesMakeProgress) {
 
 TEST(Trace, NonFiniteWallClockReadsAsDeadLink) {
   // An earlier outage propagates a +inf wall clock into later queries (the
-  // frozen legacy engine and the offline planner do exactly this). Those
+  // legacy loop in tests/oracle and the offline planner do exactly this). Those
   // must degrade to "dead link", not undefined index arithmetic.
   ThroughputTrace t("t", {1000, 2000}, 1.0);
   double inf = std::numeric_limits<double>::infinity();
