@@ -10,7 +10,8 @@
 using namespace sensei;
 using core::Experiments;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig12a_qoe_gain_cdf");
   const auto& videos = Experiments::videos();
   const auto& traces = Experiments::traces();
   const auto& weights = Experiments::weights();

@@ -3,6 +3,7 @@
 // ~96.7% with only ~3.1% QoE degradation, landing at ~$31.4/min.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "core/experiments.h"
 #include "crowd/scheduler.h"
 #include "util/stats.h"
@@ -30,7 +31,8 @@ double achieved_qoe(const std::vector<std::vector<double>>& weights) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig12c_cost_qoe");
   const auto& oracle = Experiments::oracle();
   // Profile 1-minute clips so cost is naturally USD per minute of video
   // (profiling cost grows with video length; the paper reports per-minute).

@@ -2,6 +2,7 @@
 // across traces. Paper: large variability across videos even within a genre.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "core/experiments.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -9,7 +10,8 @@
 using namespace sensei;
 using core::Experiments;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig13_per_video");
   const auto& videos = Experiments::videos();
   const auto& traces = Experiments::traces();
   const auto& weights = Experiments::weights();

@@ -11,7 +11,6 @@
 // other layer uses, default) or via reference lambdas calling the
 // concrete constructors. CI diffs the two outputs — they must be
 // bit-identical, the registry==direct construction contract.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -59,13 +58,10 @@ int main(int argc, char** argv) {
     f_fugu = Experiments::policy_factory("fugu" + suffix);
   }
 
-  auto start = std::chrono::steady_clock::now();
   auto grid_bba = Experiments::run_grid(f_bba, false, runner);
   auto grid_sensei = Experiments::run_grid(f_sensei, true, runner);
   auto grid_pen = Experiments::run_grid(f_pen, false, runner);
   auto grid_fugu = Experiments::run_grid(f_fugu, false, runner);
-  double sweep_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                       .count();
 
   std::printf("%s", util::banner(
                         "Figure 14: QoE gain over BBA per trace (ordered by mean "
@@ -99,7 +95,5 @@ int main(int argc, char** argv) {
               "(paper: more improvement when throughput is lower)\n",
               low_half_gain / (traces.size() / 2.0),
               high_half_gain / (traces.size() / 2.0));
-  std::printf("grid sweep: %zu sessions in %.2fs on %zu thread(s)\n",
-              4 * videos.size() * traces.size(), sweep_s, runner.num_threads());
   return 0;
 }

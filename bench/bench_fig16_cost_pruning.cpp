@@ -52,7 +52,8 @@ SweepResult evaluate(const crowd::SchedulerConfig& config, uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig16_cost_pruning");
   std::printf("%s", util::banner("Figure 16: QoE model accuracy vs crowdsourcing cost")
                         .c_str());
 

@@ -4,6 +4,7 @@
 // An appendix sweep over the weight-horizon h backs §5.1's choice of h = 5.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "core/experiments.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -28,7 +29,8 @@ double mean_qoe(sim::AbrPolicy& policy, const net::ThroughputTrace& trace,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig17_variance");
   net::ThroughputTrace base = Experiments::traces()[5];  // ~2 Mbps cellular
 
   auto fugu = core::Sensei::make_fugu();

@@ -6,6 +6,7 @@
 //     + new adaptation action (scheduled rebuffering) = full SENSEI.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "core/experiments.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -40,7 +41,8 @@ double median_gain_over_bba(sim::AbrPolicy& policy, bool use_weights) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig18_ablation");
   auto fugu = core::Sensei::make_fugu();
   auto sensei_fugu = core::Sensei::make_sensei_fugu();
   auto sensei_fugu_bitrate_only = core::Sensei::make_sensei_fugu_bitrate_only();

@@ -12,7 +12,8 @@
 
 using namespace sensei;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig20_cv_models");
   crowd::GroundTruthQoE oracle;
   media::Encoder encoder;
   uint64_t seed = 2000;

@@ -19,7 +19,8 @@
 using namespace sensei;
 using core::Experiments;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig2_model_errors");
   const auto& videos = Experiments::videos();
   const auto& oracle = Experiments::oracle();
   const auto& weights = Experiments::weights();

@@ -28,7 +28,8 @@ double relative_gap(const std::vector<double>& qoe) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig3_qoe_gap_cdf");
   crowd::GroundTruthQoE oracle;
   media::Encoder encoder;
   std::vector<double> whole_video_gaps;

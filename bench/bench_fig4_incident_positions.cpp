@@ -9,7 +9,8 @@
 
 using namespace sensei;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig4_incident_positions");
   media::SourceVideo clip = media::Dataset::soccer1_clip();
   media::EncodedVideo video = media::Encoder().encode(clip);
   crowd::GroundTruthQoE oracle;

@@ -10,7 +10,8 @@
 
 using namespace sensei;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_fig5_rank_correlation");
   crowd::GroundTruthQoE oracle;
   media::Encoder encoder;
 

@@ -1,34 +1,26 @@
-// Multi-session simulator bench: how many concurrent contending viewers the
-// event loop sustains, and the determinism/identity gates that make the
-// numbers trustworthy. Emits machine-readable BENCH_multisession.json
-// (schema in bench/README.md).
+// Multi-session simulator bench: what concurrent contending viewers get out
+// of the shared event loop, and the deterministic grid rows CI diffs across
+// thread counts. Emits machine-readable BENCH_multisession.json (schema in
+// bench/README.md); CI diffs it against the pinned copy at the repo root.
 //
-//   ./bench_multisession                       full sweep (~1 min)
-//   ./bench_multisession --smoke               reduced sweep for CI (~5 s)
+//   ./bench_multisession                       full sweep
 //   ./bench_multisession --out FILE            JSON destination
 //   ./bench_multisession --threads N           ExperimentRunner pool size
-//   ./bench_multisession --baseline FILE       validate a pinned JSON's schema
 //
-// Three sections:
-//  1. identity — single sessions driven through the Simulator on a
-//     dedicated link, diffed field-by-field against Player::stream (the
-//     tests/test_simulator.cpp gate, re-run here on every bench); any diff
-//     fails the process.
-//  2. grid — Experiments::run_multisession_grid cells printed as
+// Two sections:
+//  1. grid — Experiments::run_multisession_grid cells printed as
 //     deterministic "grid ..." rows. CI diffs these across --threads 1/4:
 //     they must be byte-identical.
-//  3. scale — staggered-arrival contention scenarios on one shared
+//  2. scale — staggered-arrival contention scenarios on one shared
 //     bottleneck sized N x a per-viewer fair share, up to >= 1000 concurrent
-//     sessions; reports wall time and sessions/s. Fugu runs twice, once per
-//     planner mode (dp = exact, vi = discretized value iteration), and the
-//     JSON pins both the sessions/s speedup and the vi-vs-dp mean-QoE delta
-//     ("fugu_compare"); the Whittle index policy runs the same population
-//     and is pinned against both ("whittle_compare").
+//     sessions. Fugu runs twice, once per planner mode (dp = exact, vi =
+//     discretized value iteration), and the JSON pins the vi-vs-dp
+//     mean-QoE delta ("fugu_compare"); the Whittle index policy runs the
+//     same population and is pinned against fugu-vi ("whittle_compare").
 //
 // Every policy is built from an abr::PolicyRegistry spec string; extra
 // `--policy SPEC` flags append scale scenarios without recompiling.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -41,7 +33,6 @@
 #include "core/runner.h"
 #include "media/dataset.h"
 #include "net/trace_gen.h"
-#include "sim/player.h"
 #include "sim/simulator.h"
 
 using namespace sensei;
@@ -114,63 +105,12 @@ size_t peak_concurrency(const std::vector<sim::MultiSessionResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--baseline", "--policy"}, {"--smoke"},
-                     "bench_multisession [--smoke] [--out FILE] [--threads N] "
-                     "[--baseline FILE] [--policy SPEC]...");
-  const bool smoke = bench::smoke_arg(argc, argv);
+  bench::check_flags(argc, argv, {"--out", "--threads", "--policy"}, {},
+                     "bench_multisession [--out FILE] [--threads N] [--policy SPEC]...");
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_multisession.json");
-  const std::string baseline_path = bench::baseline_arg(argc, argv);
-  if (!baseline_path.empty()) {
-    // A baseline predating the planner modes (schema v2) or the registry
-    // specs + whittle rows (v3) must fail here, not silently diff clean.
-    // v5 dropped v4's config.backend and v6 dropped config.trace_integration;
-    // a v4 baseline still carries every field checked here.
-    bench::check_baseline_fields(baseline_path, 4,
-                                 {"\"planner\"", "\"fugu_compare\"", "\"whittle_compare\"",
-                                  "\"qoe_delta_vs_exact\"", "\"fugu_vi_sessions_per_s\"",
-                                  "\"spec\"", "\"whittle\""});
-  }
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
-  // ---- 1. identity: Simulator (dedicated, single session) vs Player ------
-  size_t identity_cells = 0;
-  size_t identity_diffs = 0;
-  {
-    std::vector<media::EncodedVideo> videos;
-    media::Encoder encoder;
-    videos.push_back(encoder.encode(
-        media::SourceVideo::generate("MsIdA", media::Genre::kSports, 120)));
-    videos.push_back(encoder.encode(
-        media::SourceVideo::generate("MsIdB", media::Genre::kNature, 120)));
-    std::vector<net::ThroughputTrace> traces = {
-        net::TraceGenerator::cellular("ms-id-cell", 900, 500.0, 41),
-        net::TraceGenerator::broadband("ms-id-bb", 2800, 500.0, 42),
-        net::ThroughputTrace("ms-id-cliff", std::vector<double>(40, 3200.0), 1.0).as_finite(),
-    };
-    sim::PlayerConfig config;
-    for (const media::EncodedVideo& video : videos) {
-      for (const net::ThroughputTrace& trace : traces) {
-        for (const char* policy_spec : {"bba", "fugu"}) {
-          auto make = [policy_spec] { return abr::make_policy(policy_spec); };
-          auto player_policy = make();
-          sim::SessionResult expected =
-              sim::Player(config).stream(video, trace, *player_policy);
-          auto sim_policy = make();
-          sim::SessionSpec spec;
-          spec.video = &video;
-          spec.policy = sim_policy.get();
-          auto got = sim::Simulator(config).run({spec}, trace, sim::LinkMode::kDedicated);
-          ++identity_cells;
-          identity_diffs += bench::sessions_differ(expected, got[0].session) ? 1 : 0;
-        }
-      }
-    }
-  }
-  std::printf("identity: %zu single-session Simulator-vs-Player cells, %zu diffs\n\n",
-              identity_cells, identity_diffs);
-
-  // ---- 2. deterministic multi-session grid (CI diffs these rows) ----------
+  // ---- 1. deterministic multi-session grid (CI diffs these rows) ----------
   struct GridRow {
     core::Experiments::MultiSessionCell cell;
     CellAggregate agg;
@@ -178,14 +118,11 @@ int main(int argc, char** argv) {
   std::vector<GridRow> grid_rows;
   {
     std::vector<core::Experiments::MultiSessionCell> cells;
-    const std::vector<size_t> trace_indexes =
-        smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 4, 7};
-    const size_t grid_sessions = smoke ? 6 : 12;
-    for (size_t trace_index : trace_indexes) {
+    for (size_t trace_index : {1, 4, 7}) {
       for (sim::LinkMode mode : {sim::LinkMode::kShared, sim::LinkMode::kDedicated}) {
         core::Experiments::MultiSessionCell cell;
         cell.trace_index = trace_index;
-        cell.num_sessions = grid_sessions;
+        cell.num_sessions = 12;
         cell.stagger_s = 5.0;
         cell.mode = mode;
         cells.push_back(cell);
@@ -206,14 +143,13 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // ---- 3. scale: contention scenarios up to >= 1000 concurrent sessions ---
+  // ---- 2. scale: contention scenarios up to >= 1000 concurrent sessions ---
   struct ScenarioRow {
     std::string spec;     // the registry spec as given on the scenario
     std::string policy;   // canonical registry name
     std::string planner;  // planner key for the fugu family, "-" otherwise
     size_t sessions = 0;
     double stagger_s = 0.0;
-    double wall_s = 0.0;
     CellAggregate agg;
     size_t peak_concurrent = 0;
     double sim_duration_s = 0.0;
@@ -238,30 +174,19 @@ int main(int argc, char** argv) {
       size_t sessions;
     };
     // Fugu runs the same population once per planner mode (dp = exact
-    // baseline, vi = discretized) so the JSON can pin the sessions/s
-    // speedup and the QoE delta; whittle runs it too for whittle_compare.
-    std::vector<ScenarioSpec> scenarios =
-        smoke ? std::vector<ScenarioSpec>{{"bba", 50},
-                                          {"bba", 200},
-                                          {"fugu:planner=dp", 40},
-                                          {"fugu:planner=vi", 40},
-                                          {"whittle", 40}}
-              : std::vector<ScenarioSpec>{{"bba", 100},
-                                          {"fugu:planner=dp", 100},
-                                          {"fugu:planner=vi", 100},
-                                          {"whittle", 100},
-                                          {"bba", 400},
-                                          {"bba", 1000}};
-    // Extra `--policy SPEC` scenarios append at the smoke fugu population
-    // size so a one-off policy is comparable against the pinned rows.
+    // baseline, vi = discretized) so the JSON can pin the QoE delta;
+    // whittle runs it too for whittle_compare.
+    std::vector<ScenarioSpec> scenarios = {{"bba", 100},     {"fugu:planner=dp", 100},
+                                           {"fugu:planner=vi", 100}, {"whittle", 100},
+                                           {"bba", 400},     {"bba", 1000}};
+    // Extra `--policy SPEC` scenarios append at the fugu population size so
+    // a one-off policy is comparable against the pinned rows.
     for (const std::string& spec : bench::policy_specs_arg(argc, argv)) {
-      scenarios.push_back({spec, smoke ? size_t{40} : size_t{100}});
+      scenarios.push_back({spec, 100});
     }
-    std::printf("scale: staggered arrivals on a shared bottleneck of N x 1700 Kbps "
-                "(%zu thread(s) build the cells; the event loop itself is serial)\n",
-                runner.num_threads());
-    std::printf("%18s %8s %9s %10s %12s %12s %10s %8s\n", "policy", "planner", "sessions",
-                "peak", "wall s", "sessions/s", "chunks/s", "outages");
+    std::printf("scale: staggered arrivals on a shared bottleneck of N x 1700 Kbps\n");
+    std::printf("%18s %8s %9s %10s %10s %8s %10s\n", "policy", "planner", "sessions", "peak",
+                "chunks", "outages", "mean qoe");
     const abr::PolicyRegistry& registry = abr::PolicyRegistry::instance();
     for (const ScenarioSpec& scenario : scenarios) {
       // Canonicalize once per scenario: the display columns (name, planner
@@ -286,9 +211,7 @@ int main(int argc, char** argv) {
       auto specs = sim::StaggeredSpecs{video_ptrs, policy_ptrs, {}, scenario.sessions,
                                        stagger_s}
                        .build();
-      double start = bench::now_s();
       auto results = sim::Simulator().run(specs, bottleneck, sim::LinkMode::kShared);
-      double wall = bench::now_s() - start;
 
       ScenarioRow row;
       row.spec = scenario.spec;
@@ -296,7 +219,6 @@ int main(int argc, char** argv) {
       row.planner = planner_value != nullptr ? *planner_value : "-";
       row.sessions = scenario.sessions;
       row.stagger_s = stagger_s;
-      row.wall_s = wall;
       row.agg = aggregate(results);
       row.peak_concurrent = peak_concurrency(results);
       row.mean_qoe = mean_chunk_qoe(results);
@@ -307,10 +229,9 @@ int main(int argc, char** argv) {
         }
       }
       scenario_rows.push_back(row);
-      std::printf("%18s %8s %9zu %10zu %12.3f %12.1f %10.0f %8zu\n", row.policy.c_str(),
-                  row.planner.c_str(), row.sessions, row.peak_concurrent, row.wall_s,
-                  static_cast<double>(row.sessions) / row.wall_s,
-                  static_cast<double>(row.agg.chunks) / row.wall_s, row.agg.outages);
+      std::printf("%18s %8s %9zu %10zu %10zu %8zu %10.6f\n", row.policy.c_str(),
+                  row.planner.c_str(), row.sessions, row.peak_concurrent, row.agg.chunks,
+                  row.agg.outages, row.mean_qoe);
     }
   }
 
@@ -322,11 +243,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"multisession\",\n");
-  std::fprintf(f, "  \"schema_version\": 6,\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"config\": {\"threads\": %zu},\n", runner.num_threads());
-  std::fprintf(f, "  \"identity\": {\"cells\": %zu, \"diffs\": %zu},\n", identity_cells,
-               identity_diffs);
   std::fprintf(f, "  \"grid\": [\n");
   for (size_t i = 0; i < grid_rows.size(); ++i) {
     const GridRow& row = grid_rows[i];
@@ -342,28 +258,23 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"scenarios\": [\n");
   size_t max_sessions = 0;
-  double peak_rate = 0.0;
   for (size_t i = 0; i < scenario_rows.size(); ++i) {
     const ScenarioRow& row = scenario_rows[i];
-    double rate = static_cast<double>(row.sessions) / row.wall_s;
     max_sessions = std::max(max_sessions, row.peak_concurrent);
-    peak_rate = std::max(peak_rate, rate);
     std::fprintf(f,
                  "    {\"spec\": \"%s\", \"policy\": \"%s\", \"planner\": \"%s\", "
                  "\"sessions\": %zu, \"peak_concurrent\": %zu, "
-                 "\"stagger_s\": %.6g, \"link\": \"shared\", \"wall_s\": %.4f, "
-                 "\"sessions_per_s\": %.1f, \"chunks\": %zu, \"chunks_per_s\": %.0f, "
+                 "\"stagger_s\": %.6g, \"link\": \"shared\", \"chunks\": %zu, "
                  "\"outages\": %zu, \"sim_duration_s\": %.1f, \"mean_qoe\": %.6f}%s\n",
                  row.spec.c_str(), row.policy.c_str(), row.planner.c_str(), row.sessions,
-                 row.peak_concurrent, row.stagger_s, row.wall_s, rate, row.agg.chunks,
-                 static_cast<double>(row.agg.chunks) / row.wall_s, row.agg.outages,
+                 row.peak_concurrent, row.stagger_s, row.agg.chunks, row.agg.outages,
                  row.sim_duration_s, row.mean_qoe, i + 1 < scenario_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 
-  // Discretized-vs-exact comparison over the paired Fugu scenarios: the
-  // speedup the vi planner buys at fleet scale, and what it costs in mean
-  // per-chunk QoE against the bit-exact dp baseline.
+  // Discretized-vs-exact comparison over the paired Fugu scenarios: what
+  // the vi planner costs in mean per-chunk QoE against the bit-exact dp
+  // baseline.
   const ScenarioRow* dp_row = nullptr;
   const ScenarioRow* vi_row = nullptr;
   const ScenarioRow* whittle_row = nullptr;
@@ -375,59 +286,37 @@ int main(int argc, char** argv) {
   }
   {
     if (dp_row != nullptr && vi_row != nullptr) {
-      double dp_rate = static_cast<double>(dp_row->sessions) / dp_row->wall_s;
-      double vi_rate = static_cast<double>(vi_row->sessions) / vi_row->wall_s;
       std::fprintf(f,
                    "  \"fugu_compare\": {\"sessions\": %zu, "
-                   "\"fugu_dp_sessions_per_s\": %.1f, \"fugu_vi_sessions_per_s\": %.1f, "
-                   "\"vi_speedup\": %.2f, \"dp_mean_qoe\": %.6f, \"vi_mean_qoe\": %.6f, "
+                   "\"dp_mean_qoe\": %.6f, \"vi_mean_qoe\": %.6f, "
                    "\"qoe_delta_vs_exact\": %.6f, \"vi_quantum_s\": %g},\n",
-                   dp_row->sessions, dp_rate, vi_rate, vi_rate / dp_rate,
-                   dp_row->mean_qoe, vi_row->mean_qoe,
+                   dp_row->sessions, dp_row->mean_qoe, vi_row->mean_qoe,
                    vi_row->mean_qoe - dp_row->mean_qoe, abr::kDefaultViBufferQuantumS);
-      std::printf("\nfugu_compare: dp %.1f sessions/s, vi %.1f sessions/s (%.1fx), "
-                  "qoe delta vs exact %+.4f\n",
-                  dp_rate, vi_rate, vi_rate / dp_rate,
+      std::printf("\nfugu_compare: qoe delta vs exact %+.4f\n",
                   vi_row->mean_qoe - dp_row->mean_qoe);
     } else {
       std::fprintf(f, "  \"fugu_compare\": null,\n");
     }
   }
 
-  // The index-policy headline: Whittle's sessions/s against Fugu's exact
-  // planner (the >= 10x claim) and its mean-QoE delta against the
-  // fleet-scale Fugu-vi it displaces in the workload mix.
+  // The index policy's mean-QoE delta against the fleet-scale Fugu-vi it
+  // displaces in the workload mix.
   {
-    if (whittle_row != nullptr && dp_row != nullptr && vi_row != nullptr) {
-      double whittle_rate =
-          static_cast<double>(whittle_row->sessions) / whittle_row->wall_s;
-      double dp_rate = static_cast<double>(dp_row->sessions) / dp_row->wall_s;
+    if (whittle_row != nullptr && vi_row != nullptr) {
       std::fprintf(f,
                    "  \"whittle_compare\": {\"sessions\": %zu, "
-                   "\"whittle_sessions_per_s\": %.1f, \"speedup_vs_fugu_dp\": %.2f, "
                    "\"whittle_mean_qoe\": %.6f, \"qoe_delta_vs_fugu_vi\": %.6f},\n",
-                   whittle_row->sessions, whittle_rate, whittle_rate / dp_rate,
-                   whittle_row->mean_qoe, whittle_row->mean_qoe - vi_row->mean_qoe);
-      std::printf("whittle_compare: %.1f sessions/s (%.1fx fugu-dp), "
-                  "qoe delta vs fugu-vi %+.4f\n",
-                  whittle_rate, whittle_rate / dp_rate,
+                   whittle_row->sessions, whittle_row->mean_qoe,
+                   whittle_row->mean_qoe - vi_row->mean_qoe);
+      std::printf("whittle_compare: qoe delta vs fugu-vi %+.4f\n",
                   whittle_row->mean_qoe - vi_row->mean_qoe);
     } else {
       std::fprintf(f, "  \"whittle_compare\": null,\n");
     }
   }
-  std::fprintf(f,
-               "  \"summary\": {\"max_concurrent_sessions\": %zu, "
-               "\"peak_sessions_per_s\": %.1f, \"identity_diffs\": %zu}\n",
-               max_sessions, peak_rate, identity_diffs);
+  std::fprintf(f, "  \"summary\": {\"max_concurrent_sessions\": %zu}\n", max_sessions);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (identity_diffs > 0) {
-    std::fprintf(stderr, "error: Simulator vs Player identity violated (%zu diffs)\n",
-                 identity_diffs);
-    return 1;
-  }
   return 0;
 }

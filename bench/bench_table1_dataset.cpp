@@ -3,13 +3,15 @@
 // generates for each entry.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "media/dataset.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 using namespace sensei;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {}, {}, "bench_table1_dataset");
   std::printf("%s", util::banner("Table 1: summary of the test video set").c_str());
   util::Table table({"name", "genre", "length", "source dataset", "chunks",
                      "sens mean", "sens sd", "key moments"});

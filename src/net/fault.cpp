@@ -64,12 +64,19 @@ void validate(const RandomFaultSpec& spec) {
                                 " must be finite and " + (zero_ok ? ">= 0" : "> 0") +
                                 ", got " + std::to_string(value));
   };
+  const auto check_count = [&](const char* field, double value) {
+    check(field, value, true);
+    if (value <= kMaxMeanFaultCount) return;
+    throw std::invalid_argument(std::string("fault spec: ") + field + " must be <= " +
+                                std::to_string(kMaxMeanFaultCount) + ", got " +
+                                std::to_string(value));
+  };
   check("horizon_s", spec.horizon_s, false);
-  check("mean_outages", spec.mean_outages, true);
+  check_count("mean_outages", spec.mean_outages);
   check("outage_mean_duration_s", spec.outage_mean_duration_s, false);
-  check("mean_collapses", spec.mean_collapses, true);
+  check_count("mean_collapses", spec.mean_collapses);
   check("collapse_mean_duration_s", spec.collapse_mean_duration_s, false);
-  check("mean_rtt_spikes", spec.mean_rtt_spikes, true);
+  check_count("mean_rtt_spikes", spec.mean_rtt_spikes);
   check("rtt_spike_mean_duration_s", spec.rtt_spike_mean_duration_s, false);
 }
 

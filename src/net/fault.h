@@ -70,11 +70,16 @@ struct RandomFaultSpec {
   RandomFaultSpec scaled(double intensity) const;
 };
 
+// Largest mean event count per kind a RandomFaultSpec may ask for. The
+// Poisson draw costs time linear in the mean (a 1e6 mean takes ~0.2 s, a
+// 1e12 mean never returns), and a plan of more events than this over one
+// cell's horizon is no longer a fault load but a dead link.
+inline constexpr double kMaxMeanFaultCount = 1e4;
+
 // Rejects a spec no plan can be drawn from with std::invalid_argument
 // naming the field: a horizon or mean duration that is not finite and > 0,
-// or a mean count that is not finite and >= 0 (an infinite mean would
-// never finish its Poisson draw). FaultPlan::random and the FleetSimulator
-// constructor call it.
+// or a mean count outside [0, kMaxMeanFaultCount] (NaN included).
+// FaultPlan::random and the FleetSimulator constructor call it.
 void validate(const RandomFaultSpec& spec);
 
 class FaultPlan {

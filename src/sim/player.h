@@ -11,13 +11,14 @@
 // pause length and the pause is charged to the next chunk's stall time
 // (exactly how SENSEI-Pensieve's "increment the buffer state" is described).
 //
-// Session timing is owned by the exact event-driven timeline engine
-// (sim/timeline.h) — itself a thin run-to-completion drive of the resumable
-// sim::SessionEngine state machine (sim/session_engine.h), which
-// sim::run_event_loop interleaves for multi-session contention scenarios
-// (sim::Simulator, sim::FleetSimulator). The pre-timeline accounting loop
-// it replaced lives on, frozen, in the test oracle (tests/oracle) as the
-// reference for the bit-identity gate in tests/test_timeline.cpp.
+// Session timing is owned by the exact event-driven timeline
+// (sim/timeline.h) that the resumable sim::SessionEngine state machine
+// (sim/session_engine.h) records. Player::stream runs one engine to
+// completion; sim::run_event_loop interleaves many for multi-session
+// contention scenarios (sim::Simulator, sim::FleetSimulator). The
+// pre-timeline accounting loop it replaced lives on, frozen, in the test
+// oracle (tests/oracle) as the reference for the bit-identity gate in
+// tests/test_timeline.cpp.
 #pragma once
 
 #include <cstdint>

@@ -48,10 +48,10 @@
 // from a Simulator — the emitted SessionResult and SessionTimeline are
 // bit-identical to the monolithic loop this replaces, because each state
 // executes the exact statements (same expressions, same order) of the
-// original loop body. Player::stream and stream_timeline are now thin
-// run-to-completion wrappers over this class; tests/test_simulator.cpp
-// gates Simulator-driven sessions against them, and tests/test_timeline.cpp
-// pins the numbers themselves against the frozen legacy loop (tests/oracle).
+// original loop body. Player::stream is a thin run-to-completion wrapper
+// over this class; tests/test_simulator.cpp gates Simulator-driven
+// sessions against it, and tests/test_timeline.cpp pins the numbers
+// themselves against the frozen legacy loop (tests/oracle).
 #pragma once
 
 #include <memory>

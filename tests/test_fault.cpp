@@ -123,11 +123,13 @@ TEST(FaultPlan, RandomRejectsBadMeansNamingTheField) {
   };
   const Field fields[] = {
       {"horizon_s", &RandomFaultSpec::horizon_s, {0.0, -1.0, nan, inf}},
-      {"mean_outages", &RandomFaultSpec::mean_outages, {-1.0, nan, inf}},
+      // A finite but huge mean must fail fast too: the Poisson draw's cost
+      // grows with the mean, so 1e12 would never return.
+      {"mean_outages", &RandomFaultSpec::mean_outages, {-1.0, nan, inf, 1e12}},
       {"outage_mean_duration_s", &RandomFaultSpec::outage_mean_duration_s, {0.0, nan, inf}},
-      {"mean_collapses", &RandomFaultSpec::mean_collapses, {-0.5, nan, inf}},
+      {"mean_collapses", &RandomFaultSpec::mean_collapses, {-0.5, nan, inf, 1e12}},
       {"collapse_mean_duration_s", &RandomFaultSpec::collapse_mean_duration_s, {-2.0, nan}},
-      {"mean_rtt_spikes", &RandomFaultSpec::mean_rtt_spikes, {-3.0, nan, inf}},
+      {"mean_rtt_spikes", &RandomFaultSpec::mean_rtt_spikes, {-3.0, nan, inf, 1e12}},
       {"rtt_spike_mean_duration_s", &RandomFaultSpec::rtt_spike_mean_duration_s, {0.0, inf}},
   };
   for (const Field& field : fields) {
@@ -143,8 +145,11 @@ TEST(FaultPlan, RandomRejectsBadMeansNamingTheField) {
       }
     }
   }
-  // Zero counts are a valid empty plan.
+  // Zero counts are a valid empty plan, and the cap itself is accepted.
   EXPECT_NO_THROW(validate(RandomFaultSpec()));
+  RandomFaultSpec at_cap;
+  at_cap.mean_outages = kMaxMeanFaultCount;
+  EXPECT_NO_THROW(validate(at_cap));
 }
 
 TEST(FaultPlan, PointQueriesUseMinFactorAndMaxExtra) {

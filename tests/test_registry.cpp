@@ -10,8 +10,8 @@
 //  - the headline contract: a registry-built policy is bit-identical in
 //    behavior to a directly constructed one, for every registered name, on
 //    seeded session grids at 1 and 4 runner threads (compared with
-//    bench_util.h's sessions_differ, the same comparator the bench
-//    identity gates use).
+//    session_compare.h's expect_sessions_identical, the comparator every
+//    session identity gate uses).
 #include "abr/registry.h"
 
 #include <gtest/gtest.h>
@@ -26,10 +26,10 @@
 #include "abr/pensieve.h"
 #include "abr/rate_based.h"
 #include "abr/whittle.h"
-#include "bench_util.h"
 #include "core/runner.h"
 #include "media/dataset.h"
 #include "net/trace_gen.h"
+#include "session_compare.h"
 #include "sim/player.h"
 
 namespace sensei::abr {
@@ -305,8 +305,9 @@ TEST_F(RegistryIdentity, RegistryMatchesDirectConstructionOnSeededGrids) {
       auto registry = run_grid(registry_make, use_weights, threads);
       ASSERT_EQ(registry.size(), direct.size()) << spec;
       for (size_t i = 0; i < registry.size(); ++i) {
-        EXPECT_FALSE(bench::sessions_differ(registry[i], direct[i]))
-            << spec << " cell " << i << " threads " << threads;
+        SCOPED_TRACE(std::string(spec) + " cell " + std::to_string(i) + " threads " +
+                     std::to_string(threads));
+        sim::expect_sessions_identical(registry[i], direct[i]);
       }
     }
   }
