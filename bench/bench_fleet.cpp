@@ -20,7 +20,6 @@
 // --shards values (the fleet's bit-identity contract, also pinned by
 // tests/test_fleet.cpp).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,22 +31,6 @@
 using namespace sensei;
 
 namespace {
-
-// Parses `--shards N` / `--cells N`: non-negative integers, 0 = automatic.
-size_t count_arg(int argc, char** argv, const char* flag, size_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      char* end = nullptr;
-      long n = (i + 1 < argc) ? std::strtol(argv[i + 1], &end, 10) : -1;
-      if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "error: %s requires a non-negative integer\n", flag);
-        std::exit(2);
-      }
-      return static_cast<size_t>(n);
-    }
-  }
-  return fallback;
-}
 
 struct Scenario {
   std::string name;
@@ -73,8 +56,8 @@ int main(int argc, char** argv) {
   for (const std::string& spec : bench::policy_specs_arg(argc, argv)) {
     mix_override.push_back({spec, 1.0});
   }
-  const size_t num_shards = count_arg(argc, argv, "--shards", 0);
-  const size_t cells_override = count_arg(argc, argv, "--cells", 0);
+  const size_t num_shards = bench::count_arg(argc, argv, "--shards", 0);
+  const size_t cells_override = bench::count_arg(argc, argv, "--cells", 0);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
   // Shared video pool: four genres, 120 s each (30 chunks), the same shape

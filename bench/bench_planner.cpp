@@ -10,9 +10,11 @@
 // 5-level ladder, 8 throughput scenarios, scheduled-rebuffer options
 // {0,1,2} s, sensitivity weights on. DP decisions are checked against the
 // exhaustive reference (the frozen oracle::ExhaustivePlanner, linked from
-// the test oracle library); any mismatch fails the process. The vi planner
-// is lossy by design: its decision divergence is counted and reported,
-// never fatal. Planner speed is perfbench's job (perfbench/README.md).
+// the test oracle library); any mismatch fails the process. The DP's nodes
+// expanded per decision (DpPlanner::nodes_expanded) show how well its bound
+// prunes, as a deterministic number. The vi planner is lossy by design: its
+// decision divergence is counted and reported, never fatal. Planner speed
+// is perfbench's job (perfbench/README.md).
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -98,6 +100,7 @@ int main(int argc, char** argv) {
     size_t mismatches;
     size_t vi_divergence;
     size_t decisions;
+    uint64_t dp_nodes;
   };
   std::vector<Row> rows;
   size_t total_mismatches = 0;
@@ -106,13 +109,14 @@ int main(int argc, char** argv) {
   std::printf("planner bench: %zu obs, %zu scenarios, ladder %zu levels, rebuf {0,1,2}s, "
               "vi quantum %.3gs\n",
               num_obs, num_scenarios, video.ladder().level_count(), vi.quantum_s());
-  std::printf("%8s %12s %10s\n", "horizon", "mismatches", "vi div");
+  std::printf("%8s %12s %10s %14s\n", "horizon", "mismatches", "vi div", "dp nodes/dec");
 
   for (size_t h : horizons) {
     // dp must agree with the reference; vi's divergence is counted (lossy
     // by design).
     size_t mismatches = 0;
     size_t vi_divergence = 0;
+    const uint64_t nodes_before = dp.nodes_expanded();
     for (const auto& c : cases) {
       abr::PlanQuery q = make_query(c, h, rebuf);
       abr::PlanResult a = exhaustive.plan(q);
@@ -129,8 +133,10 @@ int main(int argc, char** argv) {
     }
     total_mismatches += mismatches;
     total_vi_divergence += vi_divergence;
-    rows.push_back({h, mismatches, vi_divergence, cases.size()});
-    std::printf("%8zu %12zu %10zu\n", h, mismatches, vi_divergence);
+    const uint64_t nodes = dp.nodes_expanded() - nodes_before;
+    rows.push_back({h, mismatches, vi_divergence, cases.size(), nodes});
+    std::printf("%8zu %12zu %10zu %14.2f\n", h, mismatches, vi_divergence,
+                static_cast<double>(nodes) / static_cast<double>(cases.size()));
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -151,8 +157,10 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"horizon\": %zu, \"decisions_checked\": %zu, "
-                 "\"decision_mismatches\": %zu, \"vi_decision_divergence\": %zu}%s\n",
+                 "\"decision_mismatches\": %zu, \"vi_decision_divergence\": %zu, "
+                 "\"dp_nodes_per_decision\": %.2f}%s\n",
                  r.horizon, r.decisions, r.mismatches, r.vi_divergence,
+                 static_cast<double>(r.dp_nodes) / static_cast<double>(r.decisions),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

@@ -22,7 +22,6 @@
 // cell), so they must survive any parallel decomposition).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -35,21 +34,6 @@
 using namespace sensei;
 
 namespace {
-
-size_t count_arg(int argc, char** argv, const char* flag, size_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      char* end = nullptr;
-      long n = (i + 1 < argc) ? std::strtol(argv[i + 1], &end, 10) : -1;
-      if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "error: %s requires a non-negative integer\n", flag);
-        std::exit(2);
-      }
-      return static_cast<size_t>(n);
-    }
-  }
-  return fallback;
-}
 
 struct Row {
   std::string policy;
@@ -66,7 +50,7 @@ int main(int argc, char** argv) {
                      "bench_resilience [--out FILE] [--threads N] [--shards N] "
                      "[--policy SPEC]...");
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_resilience.json");
-  const size_t num_shards = count_arg(argc, argv, "--shards", 0);
+  const size_t num_shards = bench::count_arg(argc, argv, "--shards", 0);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
   std::vector<std::string> policies = bench::policy_specs_arg(argc, argv);

@@ -61,6 +61,23 @@ inline size_t threads_arg(int argc, char** argv) {
   return 0;
 }
 
+// Parses `--shards N` / `--cells N` for the fleet benches: a non-negative
+// integer, 0 = automatic. A present but unparsable or negative value aborts.
+inline size_t count_arg(int argc, char** argv, const char* flag, size_t fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) {
+      char* end = nullptr;
+      long n = (i + 1 < argc) ? std::strtol(argv[i + 1], &end, 10) : -1;
+      if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || n < 0) {
+        std::fprintf(stderr, "error: %s requires a non-negative integer\n", flag);
+        std::exit(2);
+      }
+      return static_cast<size_t>(n);
+    }
+  }
+  return fallback;
+}
+
 // Collects every `--policy SPEC` occurrence: abr::PolicyRegistry spec
 // strings ("bba", "fugu:planner=vi", ... — grammar in abr/registry.h) the
 // spec-driven benches append to or substitute for their default policy

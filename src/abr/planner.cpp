@@ -199,7 +199,8 @@ size_t PlanBatch::table_bytes() const {
 
 size_t DpPlanner::arena_bytes() const {
   return (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() +
-          w_.capacity() + h_.capacity() + buf_.capacity()) *
+          w_.capacity() + bmax_.capacity() + ubq_.capacity() + h_.capacity() +
+          stall_q_.capacity() + buf_.capacity()) *
              sizeof(double) +
          path_.capacity() * sizeof(uint32_t);
 }
@@ -274,17 +275,83 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
     }
   }
 
-  // Stall-free relaxation bound, computed backwards. A step's contribution
-  // is w * E[q_nostall] + max(w, 1) * (E[q] - E[q_nostall]) with the second
-  // term <= 0, so w * eqn upper-bounds it; maximizing over levels bounds
-  // any continuation from (depth, prev level).
+  // Buffer ceiling per (depth, scenario), advanced with step()'s own float
+  // ops from the observed buffer by the smallest download time of each
+  // depth, plus the largest root rebuffer option (so an unsorted option
+  // list still yields the max).
+  bmax_.resize(depth_count * S);
+  std::fill(bmax_.begin(), bmax_.begin() + static_cast<std::ptrdiff_t>(S), q.obs->buffer_s);
+  double sched_max = 0.0;
+  for (size_t i = 0; i < q.num_rebuffer_options; ++i) {
+    sched_max = std::max(sched_max, q.rebuffer_options[i]);
+  }
+  for (size_t d = 0; d + 1 < depth_count; ++d) {
+    for (size_t s = 0; s < S; ++s) {
+      double dl = dl_[(d * L) * S + s];
+      for (size_t l = 1; l < L; ++l) dl = std::min(dl, dl_[(d * L + l) * S + s]);
+      double b = bmax_[d * S + s];
+      if (dl > b) {
+        b = 0.0;
+      } else {
+        b -= dl;
+      }
+      if (d == 0 && sched_max > 0.0) b += sched_max;
+      bmax_[(d + 1) * S + s] = std::min(b + tau_, kMaxBufferS);
+    }
+  }
+
+  // Per-step bound: the weighted step quality at each scenario's least
+  // stall. weighted_step_quality is monotone in its expected quality, so
+  // this bounds every path's step (up to rounding, which kBoundSlack
+  // absorbs). A (depth, level) no scenario can stall at is exactly w * eqn,
+  // and so is every row when prune_ok_ fails (the bound is then unused).
+  ubq_.resize(depth_count * L * L);
+  stall_q_.resize(S);
+  for (size_t d = 0; d < depth_count; ++d) {
+    const double* bm = &bmax_[d * S];
+    for (size_t l = 0; l < L; ++l) {
+      const double* dl_row = &dl_[(d * L + l) * S];
+      const double* eqn_row = &eqn_[(d * L + l) * L];
+      double* ub_row = &ubq_[(d * L + l) * L];
+      bool can_stall = false;
+      for (size_t s = 0; s < S; ++s) can_stall |= dl_row[s] > bm[s];
+      if (!prune_ok_ || !can_stall) {
+        for (size_t p = 0; p < L; ++p) ub_row[p] = w_[d] * eqn_row[p];
+        continue;
+      }
+      // The stall-penalized visual quality is shared across prev levels;
+      // composing it with the switch penalty is chunk_quality bit for bit.
+      const double vq = vq_[d * L + l];
+      for (size_t s = 0; s < S; ++s) {
+        stall_q_[s] = dl_row[s] > bm[s]
+                          ? qoe::stall_penalized_quality(vq, dl_row[s] - bm[s], q.chunk)
+                          : 0.0;
+      }
+      for (size_t p = 0; p < L; ++p) {
+        const double prev_vq = d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + p];
+        const double qn = qn_[(d * L + l) * L + p];
+        double expected_q = 0.0;
+        for (size_t s = 0; s < S; ++s) {
+          const double qv = dl_row[s] > bm[s]
+                                ? qoe::with_switch_penalty(stall_q_[s], vq, prev_vq, q.chunk)
+                                : qn;
+          expected_q += q.scenarios[s].probability * qv;
+        }
+        ub_row[p] = weighted_step_quality(w_[d], expected_q, eqn_row[p]);
+      }
+    }
+  }
+
+  // The bound on depths [d, D), computed backwards: maximizing step bound
+  // plus continuation bound over levels bounds any continuation from
+  // (depth, prev level).
   h_.resize((depth_count + 1) * L);
   for (size_t p = 0; p < L; ++p) h_[depth_count * L + p] = 0.0;
   for (size_t d = depth_count; d-- > 1;) {
     for (size_t p = 0; p < L; ++p) {
       double best = -1e18;
       for (size_t l = 0; l < L; ++l) {
-        double v = w_[d] * eqn_[(d * L + l) * L + p] + h_[(d + 1) * L + l];
+        double v = ubq_[(d * L + l) * L + p] + h_[(d + 1) * L + l];
         if (v > best) best = v;
       }
       h_[d * L + p] = best;
@@ -295,6 +362,7 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
 // Same dynamics and fold order as the exhaustive walk; the no-stall quality
 // is served from the tables.
 double DpPlanner::step(size_t d, size_t level, size_t prev, double sched) {
+  ++nodes_;
   const PlanQuery& q = *q_;
   const size_t L = L_, S = S_;
   const double prev_vq = d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + prev];
@@ -366,11 +434,11 @@ void DpPlanner::search(size_t d, size_t prev, double value, uint64_t rank) {
   const bool leaf = d + 1 == D_;
   const size_t options = root ? q_->num_rebuffer_options : 1;
   for (size_t level = 0; level < L_; ++level) {
-    const double eqn = eqn_[(d * L_ + level) * L_ + prev];
     const double hb = (leaf ? 0.0 : h_[(d + 1) * L_ + level]) + kBoundSlack;
-    // Pre-dynamics prune: w * eqn upper-bounds the step contribution, so a
+    // Pre-dynamics prune: ubq_ upper-bounds the step contribution (for
+    // every root rebuffer option too: scheduling only adds stall), so a
     // hopeless action is rejected before its scenario loop runs.
-    const double ub = value + w_[d] * eqn + hb;
+    const double ub = value + ubq_[(d * L_ + level) * L_ + prev] + hb;
     for (size_t si = 0; si < options; ++si) {
       const double sched = root ? q_->rebuffer_options[si] : 0.0;
       if (root) {
@@ -387,7 +455,7 @@ void DpPlanner::search(size_t d, size_t prev, double value, uint64_t rank) {
         continue;
       }
       // Post-dynamics prune, tighter than the pre-check: drop the subtree
-      // when even a stall-free completion of the *actual* prefix value
+      // when even the bound's completion of the *actual* prefix value
       // cannot reach the incumbent.
       if (prune_ok_ && !(child + hb >= incumbent())) continue;
       search(d + 1, level, child, child_rank);
@@ -404,20 +472,21 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
   S_ = q.num_scenarios;
   tau_ = video.chunk_duration_s();
   D_ = std::min(q.horizon, q.obs->num_chunks - q.obs->next_chunk);
+  // Pruning is only sound when the stall penalty actually penalizes (the
+  // default and every sane configuration): then quality never rises with
+  // stall, which both the stall-free and the stall-aware bound rely on.
+  prune_ok_ = q.chunk.beta_rebuf >= 0.0 && q.chunk.rebuf_saturation >= 0.0;
   precompute(q, D_);
 
   result_ = PlanResult{};
   best_rank_ = kNoRank;
   best_ns_rank_ = kNoRank;
-  // Pruning with the stall-free bound is only sound when the stall penalty
-  // actually penalizes (the default and every sane configuration).
-  prune_ok_ = q.chunk.beta_rebuf >= 0.0 && q.chunk.rebuf_saturation >= 0.0;
   std::fill(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(S_), q.obs->buffer_s);
 
   // Seed incumbents: for every first level, greedily follow the argmax path
-  // of the stall-free bound; plus the all-lowest-level path, which is close
-  // to optimal exactly where the stall-free relaxation is loose (tight
-  // links). All are real leaves, so folding them is always sound.
+  // of the bound; plus the all-lowest-level path, which is close to optimal
+  // exactly where the bound is loosest (tight links). All are real leaves,
+  // so folding them is always sound.
   path_.resize(D_);
   for (size_t l0 = 0; l0 < L_; ++l0) {
     path_[0] = static_cast<uint32_t>(l0);
@@ -426,7 +495,7 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
       double best = -1e18;
       size_t arg = 0;
       for (size_t l = 0; l < L_; ++l) {
-        double v = w_[d] * eqn_[(d * L_ + l) * L_ + prev] + h_[(d + 1) * L_ + l];
+        double v = ubq_[(d * L_ + l) * L_ + prev] + h_[(d + 1) * L_ + l];
         if (v > best) {
           best = v;
           arg = l;

@@ -13,12 +13,15 @@
 //    tables are precomputed once per decision instead of at every tree node,
 //    and the per-scenario buffers live in one (horizon + 1) x scenarios slab
 //    reused across decide() calls (zero steady-state heap allocation). An
-//    admissible bound prunes the tree: the stall-free relaxation
-//    H(d, level), a tiny L x horizon value iteration over the precomputed
-//    quality tables, upper-bounds any continuation, and greedy rollouts of
-//    its argmax paths seed exact incumbents before the search starts. A
-//    subtree is dropped only when value + H cannot reach the incumbent even
-//    as a tie (ties are kept).
+//    admissible bound prunes the tree. Per scenario, a buffer ceiling
+//    (the observed buffer advanced by the fastest download at every depth,
+//    plus the largest root rebuffer option) caps the buffer of every path,
+//    so each step stalls at least max(0, download - ceiling); the quality
+//    at that least stall upper-bounds the step. H(d, level), a tiny
+//    L x horizon value iteration over these per-step bounds, upper-bounds
+//    any continuation, and greedy rollouts of its argmax paths seed exact
+//    incumbents before the search starts. A subtree is dropped only when
+//    value + H cannot reach the incumbent even as a tie (ties are kept).
 //
 // Every path's value is the exhaustive walk's left-to-right sum, and every
 // arithmetic expression mirrors that recursion operation for operation, so
@@ -305,6 +308,11 @@ class DpPlanner : public Planner {
   // tests and benches can assert the steady-state hot path stops allocating.
   size_t arena_bytes() const;
 
+  // Tree nodes expanded (step() evaluations, rollouts included) since
+  // construction: the search's work as a deterministic number, so a change
+  // to the bound shows its effect without a timer.
+  uint64_t nodes_expanded() const { return nodes_; }
+
  private:
   static constexpr uint64_t kNoRank = ~0ull;
 
@@ -349,15 +357,28 @@ class DpPlanner : public Planner {
   std::vector<double> qn_;   // no-stall chunk quality per prev level
   std::vector<double> eqn_;  // probability-folded no-stall quality
   std::vector<double> w_;    // per-depth sensitivity weight
-  // Stall-free relaxation bound: h_[d * L + p] is the best possible
-  // contribution of depths [d, D) given the previous level is p, assuming
-  // no scenario ever stalls. Admissible (stalls only lower quality).
+  // Stall-aware bound. bmax_[d * S + s] is the largest buffer any path can
+  // hold entering depth d in scenario s: the buffer recursion is monotone
+  // in the buffer and in the download time, so advancing the observed
+  // buffer by the smallest download time of each depth (and the largest
+  // root rebuffer option) with the step's own float ops caps every path.
+  // Every path therefore stalls at least max(0, dl - bmax) at (d, level),
+  // and chunk quality does not rise with stall while prune_ok_ holds, so
+  // ubq_[(d * L + l) * L + p], the weighted step quality at those least
+  // stalls, upper-bounds the step after previous level p. Where no
+  // scenario can stall it is exactly w * eqn. h_[d * L + p] folds ubq_
+  // backwards: the best possible contribution of depths [d, D) given the
+  // previous level is p.
+  std::vector<double> bmax_;
+  std::vector<double> ubq_;
   std::vector<double> h_;
+  std::vector<double> stall_q_;  // per-scenario scratch of the bound pass
 
   // (D + 1) x S buffer slab: row d holds every scenario's buffer entering
   // depth d of the path being searched (row 0: the observed buffer).
   std::vector<double> buf_;
   std::vector<uint32_t> path_;  // argmax path of the bound (incumbent seed)
+  uint64_t nodes_ = 0;
 };
 
 // Puffer-style discretized value iteration (see the file header). The

@@ -39,6 +39,7 @@ struct GridCase {
   std::vector<double> rebuffer_options;
   bool use_weights = false;
   size_t horizon = 5;
+  qoe::ChunkQualityParams chunk;
 };
 
 // Seeded grid spanning buffers, positions (incl. end-of-video), levels,
@@ -116,6 +117,7 @@ PlanQuery make_query(const GridCase& c) {
   q.num_rebuffer_options = c.rebuffer_options.size();
   q.use_weights = c.use_weights;
   q.weight_shrinkage = 0.8;
+  q.chunk = c.chunk;
   double prev_vq = c.obs.next_chunk > 0
                        ? c.obs.video->visual_quality(c.obs.next_chunk - 1, c.obs.last_level)
                        : c.obs.video->visual_quality(0, 0);
@@ -140,6 +142,138 @@ TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
     EXPECT_EQ(a.nostall_level, b.nostall_level);
     EXPECT_EQ(a.nostall_value, b.nostall_value);
   }
+}
+
+// Runs every case through the oracle and the DP and requires the same
+// decision and bit-identical values.
+void expect_dp_matches_oracle(const std::vector<GridCase>& cases, const char* what) {
+  oracle::ExhaustivePlanner reference;
+  DpPlanner dp;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    PlanQuery q = make_query(cases[i]);
+    PlanResult a = reference.plan(q);
+    PlanResult b = dp.plan(q);
+    SCOPED_TRACE(std::string(what) + " case " + std::to_string(i));
+    EXPECT_EQ(a.best_level, b.best_level);
+    EXPECT_EQ(a.best_rebuffer_s, b.best_rebuffer_s);
+    EXPECT_EQ(a.best_value, b.best_value);
+    EXPECT_EQ(a.nostall_level, b.nostall_level);
+    EXPECT_EQ(a.nostall_value, b.nostall_value);
+  }
+}
+
+// The edges of DpPlanner's stall-aware bound: the buffer ceiling must add
+// the largest root rebuffer option wherever it sits in the list, hold at the
+// 30 s cap, follow the max(1, kbps) clamp of sub-1 kbps forecasts and skip
+// nothing for zero-probability scenarios; the bound must stay admissible
+// where the stall penalty vanishes (beta_rebuf = 0, the edge of pruning) or
+// stops saturating (rebuf_saturation = 0), and where pruning is off
+// (a negative beta_rebuf). Each family is a seeded low-to-mid band of
+// forecasts against short buffers, where most plans stall.
+TEST_F(PlannerEquivalence, DpMatchesExhaustiveOnStallBoundEdges) {
+  util::Rng rng(0x57a11b0d);
+  const size_t L = video_.ladder().level_count();
+  auto base_case = [&](double buffer_s) {
+    GridCase c;
+    c.horizon = 5;
+    c.use_weights = rng.chance(0.5);
+    c.rebuffer_options = {0.0, 1.0, 2.0};
+    c.obs.video = &video_;
+    c.obs.num_chunks = video_.num_chunks();
+    c.obs.next_chunk = static_cast<size_t>(
+        rng.uniform_int(0, static_cast<int>(video_.num_chunks()) - 6));
+    c.obs.buffer_s = buffer_s;
+    c.obs.last_level = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(L) - 1));
+    c.scenarios = net::triangular_scenarios(3, rng.uniform(100.0, 2500.0), rng.uniform(0.05, 0.8));
+    if (c.use_weights) {
+      for (size_t d = 0; d < c.horizon; ++d) c.obs.future_weights.push_back(rng.uniform(0.5, 2.8));
+    }
+    return c;
+  };
+  const size_t n = 24;
+
+  // A cheap first chunk before sensitive ones on a link that stalls: there
+  // a scheduled rebuffer often wins, so a ceiling that added any option but
+  // the largest would prune the winning plan.
+  std::vector<GridCase> unsorted;
+  for (size_t i = 0; i < 4 * n; ++i) {
+    GridCase c = base_case(rng.uniform(0.0, 4.0));
+    c.rebuffer_options = i % 3 == 0   ? std::vector<double>{2.0, 0.0, 1.0}
+                         : i % 3 == 1 ? std::vector<double>{1.0, 2.0, 0.0}
+                                      : std::vector<double>{0.0, 2.0, 1.0};
+    c.use_weights = true;
+    c.obs.future_weights = {0.5, 2.8, 2.8, 2.8, 2.8};
+    c.scenarios = net::triangular_scenarios(3, rng.uniform(150.0, 1500.0), rng.uniform(0.05, 0.5));
+    unsorted.push_back(std::move(c));
+  }
+  expect_dp_matches_oracle(unsorted, "unsorted rebuffer options");
+
+  std::vector<GridCase> capped;
+  for (size_t i = 0; i < n; ++i) {
+    GridCase c = base_case(30.0);
+    c.scenarios = net::triangular_scenarios(3, rng.uniform(100.0, 6500.0), rng.uniform(0.05, 0.8));
+    capped.push_back(std::move(c));
+  }
+  expect_dp_matches_oracle(capped, "buffer at the 30 s cap");
+
+  std::vector<GridCase> sub_kbps;
+  for (size_t i = 0; i < n; ++i) {
+    GridCase c = base_case(rng.uniform(0.0, 30.0));
+    c.scenarios = {{0.25, 0.3}, {0.0, 0.2}, {rng.uniform(300.0, 3000.0), 0.5}};
+    if (i % 2 == 1) c.scenarios[1].kbps = -40.0;
+    sub_kbps.push_back(std::move(c));
+  }
+  expect_dp_matches_oracle(sub_kbps, "scenario kbps below 1");
+
+  std::vector<GridCase> zero_prob;
+  for (size_t i = 0; i < n; ++i) {
+    GridCase c = base_case(rng.uniform(0.0, 8.0));
+    // A slow zero-probability scenario must not tighten the bound past a
+    // path it cannot affect; a fast one must not loosen it.
+    c.scenarios = {{rng.uniform(80.0, 400.0), 0.0},
+                   {rng.uniform(400.0, 2500.0), 1.0},
+                   {rng.uniform(2500.0, 8000.0), 0.0}};
+    zero_prob.push_back(std::move(c));
+  }
+  expect_dp_matches_oracle(zero_prob, "zero-probability scenarios");
+
+  std::vector<GridCase> penalty_edges;
+  for (size_t i = 0; i < 3 * n; ++i) {
+    GridCase c = base_case(rng.uniform(0.0, 8.0));
+    if (i % 3 == 0) c.chunk.beta_rebuf = 0.0;
+    if (i % 3 == 1) c.chunk.rebuf_saturation = 0.0;
+    if (i % 3 == 2) c.chunk.beta_rebuf = -0.5;  // pruning off
+    penalty_edges.push_back(std::move(c));
+  }
+  expect_dp_matches_oracle(penalty_edges, "stall penalty edges");
+
+  // The low-band tie grid of seeded_grid, with weights and three rebuffer
+  // options on every case (SENSEI-Fugu's production setting).
+  std::vector<GridCase> low_band;
+  for (size_t i = 0; i < 4 * n; ++i) {
+    GridCase c = base_case(rng.uniform(0.0, 8.0));
+    c.use_weights = true;
+    c.obs.future_weights.clear();
+    for (size_t d = 0; d < c.horizon; ++d) c.obs.future_weights.push_back(rng.uniform(0.5, 2.8));
+    c.scenarios = net::triangular_scenarios(3, rng.uniform(100.0, 400.0), rng.uniform(0.05, 0.8));
+    low_band.push_back(std::move(c));
+  }
+  expect_dp_matches_oracle(low_band, "weighted low band");
+}
+
+// The search's work on the seeded grid, as a deterministic number: a change
+// to DpPlanner's bound or incumbent seeds moves this pin, and the change
+// records the old and new count. The stall-free bound that the stall-aware
+// one replaced expanded 1,444,052 nodes here.
+TEST_F(PlannerEquivalence, DpNodesExpandedPinnedOnSeededGrid) {
+  DpPlanner dp;
+  auto grid = seeded_grid(video_, 0xfeed5eed, 6, 400);
+  EXPECT_EQ(dp.nodes_expanded(), 0u);
+  for (const GridCase& c : grid) {
+    PlanQuery q = make_query(c);
+    dp.plan(q);
+  }
+  EXPECT_EQ(dp.nodes_expanded(), 280058u);
 }
 
 TEST_F(PlannerEquivalence, DpRejectsBufferQuantum) {
